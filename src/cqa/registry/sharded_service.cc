@@ -714,54 +714,7 @@ bool ShardedSolveService::Shutdown(std::chrono::milliseconds drain_deadline) {
 }
 
 ServiceStats ShardedSolveService::Stats() const {
-  ServiceStats total;
-  for (const auto& [name, stats] : StatsPerDb()) {
-    total.submitted += stats.submitted;
-    total.accepted += stats.accepted;
-    total.shed += stats.shed;
-    total.completed += stats.completed;
-    total.failed += stats.failed;
-    total.cancelled += stats.cancelled;
-    total.retries += stats.retries;
-    total.degraded += stats.degraded;
-    total.inflight += stats.inflight;
-    total.cache_hits += stats.cache_hits;
-    total.cache_misses += stats.cache_misses;
-    total.cache_coalesced += stats.cache_coalesced;
-    total.cache_bypass += stats.cache_bypass;
-    total.cache_entries += stats.cache_entries;
-    total.cache_evictions += stats.cache_evictions;
-    total.cache_invalidated += stats.cache_invalidated;
-    total.cache_rekeyed += stats.cache_rekeyed;
-    total.epoch += stats.epoch;
-    total.deltas_applied += stats.deltas_applied;
-    total.journal_bytes += stats.journal_bytes;
-    total.journal_fsyncs += stats.journal_fsyncs;
-    total.snapshots_taken += stats.snapshots_taken;
-    total.snapshots_failed += stats.snapshots_failed;
-    total.snapshot_bytes += stats.snapshot_bytes;
-    total.snapshot_epoch =
-        std::max(total.snapshot_epoch, stats.snapshot_epoch);
-    total.sandbox_forks += stats.sandbox_forks;
-    total.sandbox_kills += stats.sandbox_kills;
-    total.sandbox_crashes += stats.sandbox_crashes;
-    total.sandbox_rss_breaches += stats.sandbox_rss_breaches;
-    // High-water gauge, not a count: the fleet peak is the worst shard.
-    total.sandbox_peak_rss_kb =
-        std::max(total.sandbox_peak_rss_kb, stats.sandbox_peak_rss_kb);
-    total.parallel_solves += stats.parallel_solves;
-    total.components_found += stats.components_found;
-    total.parallel_steals += stats.parallel_steals;
-    total.latency_count += stats.latency_count;
-    // Percentiles of a union of samples cannot be reconstructed from the
-    // shards' percentiles; report the elementwise worst shard — exact with
-    // one shard, a conservative (pessimistic) bound otherwise.
-    total.latency_p50_us = std::max(total.latency_p50_us, stats.latency_p50_us);
-    total.latency_p90_us = std::max(total.latency_p90_us, stats.latency_p90_us);
-    total.latency_p99_us = std::max(total.latency_p99_us, stats.latency_p99_us);
-    total.latency_max_us = std::max(total.latency_max_us, stats.latency_max_us);
-  }
-  return total;
+  return MergeStats(StatsPerDb());
 }
 
 ServiceStats ShardedSolveService::ShardStats(const ShardPtr& shard) const {

@@ -245,9 +245,9 @@ class ShardedSolveService {
   /// Idempotent.
   bool Shutdown(std::chrono::milliseconds drain_deadline);
 
-  /// Aggregate accounting across shards: counters are summed; latency
-  /// percentiles are the elementwise worst (max) across shards — exact
-  /// when one shard exists, a conservative upper bound otherwise.
+  /// Aggregate accounting across shards: `MergeStats` over one
+  /// `StatsPerDb` snapshot (each field by its declared merge rule, latency
+  /// percentiles read from the pooled histograms).
   ServiceStats Stats() const;
 
   /// Per-database accounting, keyed by registry name, sorted by name.

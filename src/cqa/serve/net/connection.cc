@@ -43,7 +43,8 @@ Connection::Connection(Socket socket, ShardedSolveService* service,
 Connection::~Connection() { Join(); }
 
 void Connection::Start() {
-  stats_->OnConnectionOpened();
+  stats_->Add(&DaemonStats::connections_opened);
+  stats_->Add(&DaemonStats::connections_active);
   auto self = shared_from_this();
   reader_ = std::thread([self] {
     self->ReaderLoop();
@@ -223,8 +224,9 @@ void Connection::ReaderLoop() {
 
 void Connection::HandleFrame(const std::string& frame) {
   Result<WireRequest> decoded = DecodeRequest(frame);
-  stats_->OnFrame(/*garbage=*/!decoded.ok());
+  stats_->Add(&DaemonStats::frames_received);
   if (!decoded.ok()) {
+    stats_->Add(&DaemonStats::frames_garbage);
     ++consecutive_garbage_;
     bool fatal = consecutive_garbage_ >= options_.max_consecutive_garbage;
     // A malformed frame fails the *frame*, never the connection — unless
@@ -242,12 +244,11 @@ void Connection::HandleFrame(const std::string& frame) {
                                           service_->read_only()));
       return;
     case WireRequestType::kStats: {
-      ServiceStats service_stats = service_->Stats();
-      DaemonStats daemon_stats = stats_->Snapshot();
-      FoldSandboxCounters(&daemon_stats, service_stats);
-      EnqueueFromReader(EncodeStatsFrame(decoded->id, service_stats,
-                                         daemon_stats,
-                                         service_->StatsPerDb()));
+      // One snapshot per shard feeds both the per-db objects and the
+      // aggregate, so the frame describes a single instant per shard.
+      const auto per_db = service_->StatsPerDb();
+      EnqueueFromReader(EncodeStatsFrame(decoded->id, MergeStats(per_db),
+                                         stats_->Snapshot(), per_db));
       return;
     }
     case WireRequestType::kCancel: {
@@ -445,7 +446,7 @@ void Connection::HandleAttach(const WireRequest& request) {
         EncodeErrorFrame(request.id, attached.code(), attached.error()));
     return;
   }
-  stats_->OnDatabaseAttached();
+  stats_->Add(&DaemonStats::databases_attached);
   EnqueueFromReader(EncodeAttachAckFrame(request.id, ToWireEntry(*attached)));
 }
 
@@ -464,7 +465,7 @@ void Connection::HandleDetach(const WireRequest& request) {
     EnqueueFromReader(EncodeErrorFrame(request.id, out.code(), out.error()));
     return;
   }
-  stats_->OnDatabaseDetached();
+  stats_->Add(&DaemonStats::databases_detached);
   EnqueueFromReader(EncodeDetachAckFrame(request.id, request.name, out->shed,
                                          out->drained));
 }
@@ -485,11 +486,11 @@ void Connection::HandleApplyDelta(const WireRequest& request) {
   // surviving a crash.
   Result<DeltaOutcome> out = service_->ApplyDelta(request.db, delta);
   if (!out.ok()) {
-    stats_->OnDeltaRejected();
+    stats_->Add(&DaemonStats::deltas_rejected);
     EnqueueFromReader(EncodeErrorFrame(request.id, out.code(), out.error()));
     return;
   }
-  stats_->OnDeltaApplied();
+  stats_->Add(&DaemonStats::deltas_applied);
   EnqueueFromReader(EncodeDeltaAckFrame(request.id, *out));
 }
 
@@ -537,7 +538,7 @@ void Connection::HandleReplicate(const WireRequest& request) {
       return;
     }
   }
-  stats_->OnReplStreamOpened();
+  stats_->Add(&DaemonStats::repl_streams_opened);
   // AddReplicationListener synchronously feeds the bootstrap snapshot of
   // every attached database through OnReplicationEvent before returning,
   // so by the time the token is published the follower's resync is already
@@ -563,7 +564,10 @@ void Connection::HandleReplicaAck(const WireRequest& request) {
     }
     outstanding = repl_next_seq_ - repl_acked_seq_;
   }
-  if (active) stats_->OnReplAckReceived(outstanding);
+  if (active) {
+    stats_->Add(&DaemonStats::repl_acks_received);
+    stats_->Set(&DaemonStats::repl_lag, outstanding);
+  }
 }
 
 void Connection::OnReplicationEvent(const ReplicationEvent& event) {
@@ -574,7 +578,8 @@ void Connection::OnReplicationEvent(const ReplicationEvent& event) {
     seq = ++repl_next_seq_;
     outstanding = repl_next_seq_ - repl_acked_seq_;
   }
-  stats_->OnReplEventSent(outstanding);
+  stats_->Add(&DaemonStats::repl_events_sent);
+  stats_->Set(&DaemonStats::repl_lag, outstanding);
   // Worker-path enqueue: never blocks the applier holding the delta lock.
   // A follower that stops reading is bounded by the write deadline, which
   // aborts this connection and thereby unsubscribes the stream.
@@ -592,7 +597,7 @@ void Connection::HandleList(const WireRequest& request) {
 void Connection::HandleSolve(WireRequest request) {
   const uint64_t id = request.id;
   if (draining_.load()) {
-    stats_->OnSolveRejectedOverloaded();
+    stats_->Add(&DaemonStats::solves_rejected_overloaded);
     EnqueueFromReader(EncodeErrorFrame(
         id, ErrorCode::kOverloaded, "daemon is draining; not accepting work"));
     return;
@@ -623,7 +628,7 @@ void Connection::HandleSolve(WireRequest request) {
     return;
   }
   if (reject == Reject::kInflightCap) {
-    stats_->OnSolveRejectedInflightCap();
+    stats_->Add(&DaemonStats::solves_rejected_inflight_cap);
     EnqueueFromReader(
         EncodeErrorFrame(id, ErrorCode::kOverloaded,
                          "per-connection in-flight cap (" +
@@ -681,14 +686,14 @@ void Connection::HandleSolve(WireRequest request) {
       inflight_.erase(id);
     }
     if (submitted.code() == ErrorCode::kDetached) {
-      stats_->OnSolveRejectedDetached();
+      stats_->Add(&DaemonStats::solves_rejected_detached);
     } else {
-      stats_->OnSolveRejectedOverloaded();
+      stats_->Add(&DaemonStats::solves_rejected_overloaded);
     }
     EnqueueFromReader(EncodeErrorFrame(id, submitted.code(), submitted.error()));
     return;
   }
-  stats_->OnSolveAdmitted();
+  stats_->Add(&DaemonStats::solves_admitted);
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     auto it = inflight_.find(id);
@@ -725,7 +730,7 @@ void Connection::SolveCallback(uint64_t client_id,
 void Connection::HandleAnswers(WireRequest request) {
   const uint64_t id = request.id;
   if (draining_.load()) {
-    stats_->OnSolveRejectedOverloaded();
+    stats_->Add(&DaemonStats::solves_rejected_overloaded);
     EnqueueFromReader(EncodeErrorFrame(
         id, ErrorCode::kOverloaded, "daemon is draining; not accepting work"));
     return;
@@ -783,7 +788,7 @@ void Connection::HandleAnswers(WireRequest request) {
     return;
   }
   if (reject == Reject::kInflightCap) {
-    stats_->OnSolveRejectedInflightCap();
+    stats_->Add(&DaemonStats::solves_rejected_inflight_cap);
     EnqueueFromReader(
         EncodeErrorFrame(id, ErrorCode::kOverloaded,
                          "per-connection in-flight cap (" +
@@ -791,7 +796,8 @@ void Connection::HandleAnswers(WireRequest request) {
                              ") reached"));
     return;
   }
-  stats_->OnAnswersStream(resumed);
+  stats_->Add(&DaemonStats::answers_streams);
+  if (resumed) stats_->Add(&DaemonStats::answers_resumed);
   SubmitAnswerChunk(id);
 }
 
@@ -857,7 +863,7 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
       // the stream), overload, or a detached database. This is the
       // stream's terminal.
       if (submitted.code() == ErrorCode::kStaleCursor) {
-        stats_->OnAnswersStaleCursor();
+        stats_->Add(&DaemonStats::answers_stale_cursors);
       }
       {
         std::lock_guard<std::mutex> lock(streams_mu_);
@@ -936,7 +942,7 @@ bool Connection::ProcessAnswerResponse(uint64_t client_id,
       streams_.erase(it);
     } else if (!response.result.ok()) {
       if (response.result.code() == ErrorCode::kStaleCursor) {
-        stats_->OnAnswersStaleCursor();
+        stats_->Add(&DaemonStats::answers_stale_cursors);
       }
       frames.push_back(EncodeErrorFrame(client_id, response.result.code(),
                                         response.result.error()));
@@ -955,7 +961,8 @@ bool Connection::ProcessAnswerResponse(uint64_t client_id,
       const AnswerChunk& chunk = *response.result->answer_chunk;
       frames.push_back(
           EncodeAnswerChunkFrame(client_id, chunk, response.answer_cursor));
-      stats_->OnAnswerChunkSent(chunk.answers.size());
+      stats_->Add(&DaemonStats::answer_chunks_sent);
+      stats_->Add(&DaemonStats::answer_tuples_sent, chunk.answers.size());
       s.answers += chunk.answers.size();
       ++s.chunks;
       if (chunk.done) {

@@ -129,18 +129,14 @@ class SolveDaemon {
   /// True while this daemon is a read-only warm standby.
   bool follower() const { return service_->read_only(); }
 
-  /// Cross-shard aggregate (counters summed; latency percentiles are the
-  /// worst shard's — exact when one database is attached).
+  /// Cross-shard aggregate (each field by its declared merge rule; latency
+  /// percentiles read from the pooled per-shard histograms).
   ServiceStats service_stats() const { return service_->Stats(); }
   /// Per-database accounting, keyed by registry name.
   std::vector<std::pair<std::string, ServiceStats>> stats_per_db() const {
     return service_->StatsPerDb();
   }
-  DaemonStats daemon_stats() const {
-    DaemonStats s = stats_.Snapshot();
-    FoldSandboxCounters(&s, service_->Stats());
-    return s;
-  }
+  DaemonStats daemon_stats() const { return stats_.Snapshot(); }
   const DatabaseRegistry& registry() const { return service_->registry(); }
 
  private:

@@ -1,6 +1,7 @@
 #ifndef CQA_SERVE_NET_DAEMON_STATS_H_
 #define CQA_SERVE_NET_DAEMON_STATS_H_
 
+#include <cstdint>
 #include <mutex>
 
 #include "cqa/serve/net/protocol.h"
@@ -14,84 +15,20 @@ enum class CloseReason;
 /// daemon that owns both).
 class DaemonStatsCollector {
  public:
-  void OnConnectionOpened() {
+  /// Adds `n` to one field, e.g. `Add(&DaemonStats::frames_received)`.
+  void Add(uint64_t DaemonStats::*field, uint64_t n = 1) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.connections_opened;
-    ++stats_.connections_active;
+    stats_.*field += n;
   }
 
+  /// Sets a gauge (`repl_lag`: the calling stream's sent-minus-acked).
+  void Set(uint64_t DaemonStats::*field, uint64_t value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.*field = value;
+  }
+
+  /// Counts the close reason and releases the `connections_active` slot.
   void OnConnectionClosed(CloseReason reason);
-
-  void OnFrame(bool garbage) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.frames_received;
-    if (garbage) ++stats_.frames_garbage;
-  }
-
-  void OnSolveAdmitted() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.solves_admitted;
-  }
-
-  void OnSolveRejectedInflightCap() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.solves_rejected_inflight_cap;
-  }
-
-  void OnSolveRejectedOverloaded() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.solves_rejected_overloaded;
-  }
-
-  void OnSolveRejectedDetached() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.solves_rejected_detached;
-  }
-
-  void OnAnswersStream(bool resumed) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.answers_streams;
-    if (resumed) ++stats_.answers_resumed;
-  }
-
-  void OnAnswerChunkSent(uint64_t tuples) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.answer_chunks_sent;
-    stats_.answer_tuples_sent += tuples;
-  }
-
-  void OnAnswersStaleCursor() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.answers_stale_cursors;
-  }
-
-  void OnDatabaseAttached() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.databases_attached;
-  }
-
-  void OnDatabaseDetached() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.databases_detached;
-  }
-
-  void OnDeltaApplied() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.deltas_applied;
-  }
-
-  void OnDeltaRejected() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.deltas_rejected;
-  }
-
-  // Replication accounting (primary side). `outstanding` is the calling
-  // stream's sent-minus-acked count, published as the `repl_lag` gauge —
-  // last writer wins, which is exact for the common single-follower case.
-  void OnReplStreamOpened() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.repl_streams_opened;
-  }
 
   void OnReplStreamClosed() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -99,44 +36,6 @@ class DaemonStatsCollector {
     if (stats_.repl_streams_closed >= stats_.repl_streams_opened) {
       stats_.repl_lag = 0;  // no live stream left to lag
     }
-  }
-
-  void OnReplEventSent(uint64_t outstanding) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.repl_events_sent;
-    stats_.repl_lag = outstanding;
-  }
-
-  void OnReplAckReceived(uint64_t outstanding) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.repl_acks_received;
-    stats_.repl_lag = outstanding;
-  }
-
-  // Replication accounting (follower side).
-  void OnFollowerConnect() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.follower_connects;
-  }
-
-  void OnFollowerDisconnect() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.follower_disconnects;
-  }
-
-  void OnFollowerSnapshotApplied() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.follower_snapshots_applied;
-  }
-
-  void OnFollowerDeltaApplied() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.follower_deltas_applied;
-  }
-
-  void OnFollowerApplyError() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.follower_apply_errors;
   }
 
   DaemonStats Snapshot() const {

@@ -1,6 +1,7 @@
 #include "cqa/serve/net/protocol.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace cqa {
 
@@ -296,14 +297,6 @@ Result<WireRequest> DecodeRequest(const std::string& frame) {
   return request;
 }
 
-void FoldSandboxCounters(DaemonStats* daemon, const ServiceStats& service) {
-  daemon->sandbox_forks = service.sandbox_forks;
-  daemon->sandbox_kills = service.sandbox_kills;
-  daemon->sandbox_crashes = service.sandbox_crashes;
-  daemon->sandbox_rss_breaches = service.sandbox_rss_breaches;
-  daemon->sandbox_peak_rss_kb = service.sandbox_peak_rss_kb;
-}
-
 std::string EncodeResultFrame(uint64_t id, const SolveReport& report,
                               int attempts,
                               std::chrono::microseconds latency) {
@@ -400,50 +393,16 @@ std::string EncodeHealthFrame(uint64_t id, bool draining, bool follower) {
 
 namespace {
 
+template <class Stats, size_t N>
+void SetStatFields(JsonObjectBuilder* b, const Stats& stats,
+                   const StatField<Stats> (&fields)[N]) {
+  for (const StatField<Stats>& f : fields) b->Set(f.name, stats.*f.member);
+}
+
 Json ServiceStatsJson(const ServiceStats& service) {
-  return JsonObjectBuilder()
-      .Set("submitted", service.submitted)
-      .Set("accepted", service.accepted)
-      .Set("shed", service.shed)
-      .Set("completed", service.completed)
-      .Set("failed", service.failed)
-      .Set("cancelled", service.cancelled)
-      .Set("retries", service.retries)
-      .Set("degraded", service.degraded)
-      .Set("inflight", service.inflight)
-      .Set("cache_hits", service.cache_hits)
-      .Set("cache_misses", service.cache_misses)
-      .Set("cache_coalesced", service.cache_coalesced)
-      .Set("cache_bypass", service.cache_bypass)
-      .Set("cache_entries", service.cache_entries)
-      .Set("cache_evictions", service.cache_evictions)
-      .Set("cache_invalidated", service.cache_invalidated)
-      .Set("cache_rekeyed", service.cache_rekeyed)
-      .Set("epoch", service.epoch)
-      .Set("deltas_applied", service.deltas_applied)
-      .Set("journal_bytes", service.journal_bytes)
-      .Set("journal_fsyncs", service.journal_fsyncs)
-      .Set("snapshots_taken", service.snapshots_taken)
-      .Set("snapshots_failed", service.snapshots_failed)
-      .Set("snapshot_bytes", service.snapshot_bytes)
-      .Set("snapshot_epoch", service.snapshot_epoch)
-      .Set("sandbox_forks", service.sandbox_forks)
-      .Set("sandbox_kills", service.sandbox_kills)
-      .Set("sandbox_crashes", service.sandbox_crashes)
-      .Set("sandbox_rss_breaches", service.sandbox_rss_breaches)
-      .Set("sandbox_peak_rss_kb", service.sandbox_peak_rss_kb)
-      .Set("parallel_solves", service.parallel_solves)
-      .Set("components_found", service.components_found)
-      .Set("parallel_steals", service.parallel_steals)
-      .Set("answer_chunks", service.answer_chunks)
-      .Set("answer_tuples", service.answer_tuples)
-      .Set("answers_stale_cursors", service.answers_stale_cursors)
-      .Set("latency_count", service.latency_count)
-      .Set("latency_p50_us", service.latency_p50_us)
-      .Set("latency_p90_us", service.latency_p90_us)
-      .Set("latency_p99_us", service.latency_p99_us)
-      .Set("latency_max_us", service.latency_max_us)
-      .Build();
+  JsonObjectBuilder b;
+  SetStatFields(&b, service, kServiceStatFields);
+  return b.Build();
 }
 
 Json DbEntryJson(const WireDbEntry& entry) {
@@ -461,54 +420,19 @@ Json DbEntryJson(const WireDbEntry& entry) {
 std::string EncodeStatsFrame(
     uint64_t id, const ServiceStats& service, const DaemonStats& daemon,
     const std::vector<std::pair<std::string, ServiceStats>>& per_db) {
-  Json daemon_json =
-      JsonObjectBuilder()
-          .Set("connections_opened", daemon.connections_opened)
-          .Set("connections_active", daemon.connections_active)
-          .Set("connections_closed_garbage", daemon.connections_closed_garbage)
-          .Set("connections_closed_oversize",
-               daemon.connections_closed_oversize)
-          .Set("connections_closed_idle", daemon.connections_closed_idle)
-          .Set("connections_closed_error", daemon.connections_closed_error)
-          .Set("frames_received", daemon.frames_received)
-          .Set("frames_garbage", daemon.frames_garbage)
-          .Set("solves_admitted", daemon.solves_admitted)
-          .Set("solves_rejected_inflight_cap",
-               daemon.solves_rejected_inflight_cap)
-          .Set("solves_rejected_overloaded",
-               daemon.solves_rejected_overloaded)
-          .Set("answers_streams", daemon.answers_streams)
-          .Set("answers_resumed", daemon.answers_resumed)
-          .Set("answer_chunks_sent", daemon.answer_chunks_sent)
-          .Set("answer_tuples_sent", daemon.answer_tuples_sent)
-          .Set("answers_stale_cursors", daemon.answers_stale_cursors)
-          .Set("databases_attached", daemon.databases_attached)
-          .Set("databases_detached", daemon.databases_detached)
-          .Set("solves_rejected_detached", daemon.solves_rejected_detached)
-          .Set("deltas_applied", daemon.deltas_applied)
-          .Set("deltas_rejected", daemon.deltas_rejected)
-          .Set("repl_streams_opened", daemon.repl_streams_opened)
-          .Set("repl_streams_closed", daemon.repl_streams_closed)
-          .Set("repl_events_sent", daemon.repl_events_sent)
-          .Set("repl_acks_received", daemon.repl_acks_received)
-          .Set("repl_lag", daemon.repl_lag)
-          .Set("follower_connects", daemon.follower_connects)
-          .Set("follower_disconnects", daemon.follower_disconnects)
-          .Set("follower_snapshots_applied",
-               daemon.follower_snapshots_applied)
-          .Set("follower_deltas_applied", daemon.follower_deltas_applied)
-          .Set("follower_apply_errors", daemon.follower_apply_errors)
-          .Set("sandbox_forks", daemon.sandbox_forks)
-          .Set("sandbox_kills", daemon.sandbox_kills)
-          .Set("sandbox_crashes", daemon.sandbox_crashes)
-          .Set("sandbox_rss_breaches", daemon.sandbox_rss_breaches)
-          .Set("sandbox_peak_rss_kb", daemon.sandbox_peak_rss_kb)
-          .Build();
+  JsonObjectBuilder daemon_json;
+  SetStatFields(&daemon_json, daemon, kDaemonStatFields);
+  // The daemon object repeats the aggregate's sandbox counters.
+  for (const StatField<ServiceStats>& f : kServiceStatFields) {
+    if (std::string_view(f.name).starts_with("sandbox_")) {
+      daemon_json.Set(f.name, service.*f.member);
+    }
+  }
   JsonObjectBuilder frame;
   frame.Set("type", "stats")
       .Set("id", id)
       .Set("service", ServiceStatsJson(service))
-      .Set("daemon", std::move(daemon_json));
+      .Set("daemon", daemon_json.Build());
   if (!per_db.empty()) {
     // Per-instance breakdown, keyed by registry name: each shard owns its
     // cache, so an operator reads cold instances straight off this map.

@@ -131,67 +131,81 @@ Result<SolverMethod> ParseSolverMethod(const std::string& name);
 /// (up to its consecutive-garbage limit).
 Result<WireRequest> DecodeRequest(const std::string& frame);
 
+/// The `DaemonStats` fields, one row each: X(name, kind). Like
+/// `CQA_SERVICE_STATS`, the rows drive the struct's members,
+/// `kDaemonStatFields` and the stats frame's `daemon` object; adding a
+/// counter means one row here plus its increment site.
+///
+/// Connections close on N consecutive bad frames (garbage), a frame over
+/// the cap (oversize), an idle or read-deadline timeout (idle), or a write
+/// timeout or socket error (error). `solves_rejected_overloaded` counts
+/// service queue sheds and draining refusals; `solves_rejected_detached`
+/// solves naming an unknown or detaching "db".
+///
+/// Answer streams: `answers_streams` counts streams opened, resumed ones
+/// included (`answers_resumed` is the sub-count that started from a
+/// client-supplied cursor); chunks/tuples count answer_chunk frames
+/// actually enqueued to clients; stale counts streams refused or ended
+/// with a stale-cursor error.
+///
+/// Live updates: applied counts acked mutations (idempotent replays of an
+/// already-applied delta id included — the ack is the contract), rejected
+/// counts validation/journal failures.
+///
+/// Replication, primary side: one stream per `replicate` frame accepted.
+/// `repl_lag` is events sent minus cumulative acks received, set by the
+/// latest event or ack (last writer wins: exact for a single steady
+/// follower, approximate across stream restarts) and reset once no stream
+/// is live. Follower side (all zero on a primary): connects, disconnects,
+/// snapshots and deltas applied, apply errors.
+///
+/// The stats frame's `daemon` object also repeats the aggregate service's
+/// `sandbox_*` fields: they are owned by the service layer but read as
+/// daemon-level operational signals.
+#define CQA_DAEMON_STATS(X)                 \
+  X(connections_opened, kCounter)           \
+  X(connections_active, kGauge)             \
+  X(connections_closed_garbage, kCounter)   \
+  X(connections_closed_oversize, kCounter)  \
+  X(connections_closed_idle, kCounter)      \
+  X(connections_closed_error, kCounter)     \
+  X(frames_received, kCounter)              \
+  X(frames_garbage, kCounter)               \
+  X(solves_admitted, kCounter)              \
+  X(solves_rejected_inflight_cap, kCounter) \
+  X(solves_rejected_overloaded, kCounter)   \
+  X(answers_streams, kCounter)              \
+  X(answers_resumed, kCounter)              \
+  X(answer_chunks_sent, kCounter)           \
+  X(answer_tuples_sent, kCounter)           \
+  X(answers_stale_cursors, kCounter)        \
+  X(databases_attached, kCounter)           \
+  X(databases_detached, kCounter)           \
+  X(solves_rejected_detached, kCounter)     \
+  X(deltas_applied, kCounter)               \
+  X(deltas_rejected, kCounter)              \
+  X(repl_streams_opened, kCounter)          \
+  X(repl_streams_closed, kCounter)          \
+  X(repl_events_sent, kCounter)             \
+  X(repl_acks_received, kCounter)           \
+  X(repl_lag, kGauge)                       \
+  X(follower_connects, kCounter)            \
+  X(follower_disconnects, kCounter)         \
+  X(follower_snapshots_applied, kCounter)   \
+  X(follower_deltas_applied, kCounter)      \
+  X(follower_apply_errors, kCounter)
+
 /// Daemon-level counters, exposed through "stats" frames next to the
-/// embedded `ServiceStats`.
+/// embedded `ServiceStats`; see `CQA_DAEMON_STATS` for the fields.
 struct DaemonStats {
-  uint64_t connections_opened = 0;
-  uint64_t connections_active = 0;
-  uint64_t connections_closed_garbage = 0;   // N consecutive bad frames
-  uint64_t connections_closed_oversize = 0;  // frame exceeded the cap
-  uint64_t connections_closed_idle = 0;      // idle / read-deadline timeout
-  uint64_t connections_closed_error = 0;     // write timeout or socket error
-  uint64_t frames_received = 0;
-  uint64_t frames_garbage = 0;
-  uint64_t solves_admitted = 0;
-  uint64_t solves_rejected_inflight_cap = 0;
-  uint64_t solves_rejected_overloaded = 0;  // service queue shed or draining
-  // Answer-stream accounting. `answers_streams` counts streams opened
-  // (resumed ones included; `answers_resumed` is the sub-count that
-  // started from a client-supplied cursor); chunks/tuples count
-  // answer_chunk frames actually enqueued to clients; stale counts
-  // streams refused or ended with a stale-cursor error.
-  uint64_t answers_streams = 0;
-  uint64_t answers_resumed = 0;
-  uint64_t answer_chunks_sent = 0;
-  uint64_t answer_tuples_sent = 0;
-  uint64_t answers_stale_cursors = 0;
-  // Registry admin accounting.
-  uint64_t databases_attached = 0;
-  uint64_t databases_detached = 0;
-  uint64_t solves_rejected_detached = 0;  // unknown or detaching "db"
-  // Live-update accounting: applied counts acked mutations (idempotent
-  // replays of an already-applied delta id included — the ack is the
-  // contract), rejected counts validation/journal failures.
-  uint64_t deltas_applied = 0;
-  uint64_t deltas_rejected = 0;
-  // Replication accounting, primary side: one "stream" per `replicate`
-  // frame accepted. `repl_lag` is a gauge — events sent minus cumulative
-  // acks received across live streams, refreshed on every ack (approximate
-  // across stream restarts; exact for a single steady follower).
-  uint64_t repl_streams_opened = 0;
-  uint64_t repl_streams_closed = 0;
-  uint64_t repl_events_sent = 0;
-  uint64_t repl_acks_received = 0;
-  uint64_t repl_lag = 0;
-  // Replication accounting, follower side (all zero on a primary).
-  uint64_t follower_connects = 0;
-  uint64_t follower_disconnects = 0;
-  uint64_t follower_snapshots_applied = 0;
-  uint64_t follower_deltas_applied = 0;
-  uint64_t follower_apply_errors = 0;
-  // Sandbox accounting, folded from the service layer at snapshot time
-  // (see FoldSandboxCounters and the ServiceStats field docs).
-  uint64_t sandbox_forks = 0;
-  uint64_t sandbox_kills = 0;
-  uint64_t sandbox_crashes = 0;
-  uint64_t sandbox_rss_breaches = 0;
-  uint64_t sandbox_peak_rss_kb = 0;
+  CQA_DAEMON_STATS(CQA_STAT_MEMBER)
 };
 
-/// Copies the sandbox counters of a service snapshot into the daemon
-/// counters (they are owned by the service layer but read as daemon-level
-/// operational signals, so stats frames surface them in both places).
-void FoldSandboxCounters(DaemonStats* daemon, const ServiceStats& service);
+#define CQA_DAEMON_STAT_FIELD(name, kind) \
+  {#name, &DaemonStats::name, StatKind::kind},
+inline constexpr StatField<DaemonStats> kDaemonStatFields[] = {
+    CQA_DAEMON_STATS(CQA_DAEMON_STAT_FIELD)};
+#undef CQA_DAEMON_STAT_FIELD
 
 /// One attached instance as reported by db_list frames and attach acks.
 struct WireDbEntry {

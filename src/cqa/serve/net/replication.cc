@@ -65,10 +65,10 @@ bool ReplicationClient::ApplyEvent(const ReplicationEvent& event) {
           event.db, event.facts, event.epoch, event.fingerprint,
           event.delta_ids);
       if (!applied.ok()) {
-        stats_->OnFollowerApplyError();
+        stats_->Add(&DaemonStats::follower_apply_errors);
         return false;
       }
-      stats_->OnFollowerSnapshotApplied();
+      stats_->Add(&DaemonStats::follower_snapshots_applied);
       return true;
     }
     case ReplicationEvent::Kind::kDelta: {
@@ -77,10 +77,10 @@ bool ReplicationClient::ApplyEvent(const ReplicationEvent& event) {
       if (!applied.ok()) {
         // Epoch gap or fingerprint divergence: the stream is torn; tear
         // the session down and resync from a fresh bootstrap.
-        stats_->OnFollowerApplyError();
+        stats_->Add(&DaemonStats::follower_apply_errors);
         return false;
       }
-      stats_->OnFollowerDeltaApplied();
+      stats_->Add(&DaemonStats::follower_deltas_applied);
       return true;
     }
     case ReplicationEvent::Kind::kDetach: {
@@ -114,7 +114,7 @@ void ReplicationClient::RunSession() {
     session_fd_.store(-1, std::memory_order_release);
     return;
   }
-  stats_->OnFollowerConnect();
+  stats_->Add(&DaemonStats::follower_connects);
   connected_.store(true, std::memory_order_release);
 
   FrameDecoder decoder(options_.max_frame_bytes);
@@ -158,7 +158,7 @@ void ReplicationClient::RunSession() {
   }
   connected_.store(false, std::memory_order_release);
   session_fd_.store(-1, std::memory_order_release);
-  stats_->OnFollowerDisconnect();
+  stats_->Add(&DaemonStats::follower_disconnects);
 }
 
 }  // namespace cqa

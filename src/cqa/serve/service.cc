@@ -577,15 +577,11 @@ std::pair<uint64_t, uint64_t> SolveService::OnDatabaseDelta(
 ServiceStats SolveService::Stats() const {
   ServiceStats s = stats_.Snapshot();
   if (cache_ != nullptr) {
-    CacheStats c = cache_->Stats();
-    s.cache_hits = c.hits;
-    s.cache_misses = c.misses;
-    s.cache_coalesced = c.coalesced;
-    s.cache_bypass = c.bypassed;
-    s.cache_entries = c.entries;
-    s.cache_evictions = c.evictions;
-    s.cache_invalidated = c.invalidated;
-    s.cache_rekeyed = c.rekeyed;
+    const CacheStats c = cache_->Stats();
+#define CQA_FOLD_CACHE_STAT(name, kind, merge, ...) \
+  __VA_OPT__(s.name = c.__VA_ARGS__;)
+    CQA_SERVICE_STATS(CQA_FOLD_CACHE_STAT)
+#undef CQA_FOLD_CACHE_STAT
   }
   return s;
 }

@@ -1,21 +1,89 @@
 #include "cqa/serve/stats.h"
 
 #include <algorithm>
+#include <bit>
+#include <string_view>
 
 namespace cqa {
 
 namespace {
 
-// p in [0,1]; nearest-rank percentile of a sorted, non-empty window. The
-// rank is clamped so no rounding of `p * (n-1)` can ever index out of
-// bounds (the empty window is handled by the caller, which reports zeros).
-uint64_t PercentileSorted(const std::vector<uint64_t>& sorted, double p) {
-  size_t rank = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  rank = std::min(rank, sorted.size() - 1);
-  return sorted[rank];
+// Bucket layout (see LatencyHistogram): values below kExact get a bucket
+// each; octave k >= 10, i.e. [2^k, 2^(k+1)), is split into kSub buckets of
+// width 2^(k-kSubBits).
+constexpr uint64_t kExact = 1024;
+constexpr int kExactBits = 10;
+constexpr int kSubBits = 7;
+constexpr uint64_t kSub = uint64_t{1} << kSubBits;
+constexpr int kTopOctave = 40;
+constexpr size_t kBuckets = kExact + (kTopOctave - kExactBits) * kSub;
+
+size_t Bucket(uint64_t us) {
+  if (us < kExact) return static_cast<size_t>(us);
+  const int octave = std::bit_width(us) - 1;
+  if (octave >= kTopOctave) return kBuckets - 1;
+  return static_cast<size_t>(kExact + (octave - kExactBits) * kSub +
+                             (us >> (octave - kSubBits)) - kSub);
+}
+
+// The bucket's midpoint: exact for the unit buckets below kExact.
+uint64_t Midpoint(size_t bucket) {
+  if (bucket < kExact) return bucket;
+  const uint64_t j = bucket - kExact;
+  const int shift = static_cast<int>(j / kSub) + kExactBits - kSubBits;
+  const uint64_t low = (kSub + j % kSub) << shift;
+  return low + ((uint64_t{1} << shift) - 1) / 2;
+}
+
+void ReadPercentiles(ServiceStats* s) {
+  s->latency_p50_us = s->latency.Percentile(0.50, s->latency_max_us);
+  s->latency_p90_us = s->latency.Percentile(0.90, s->latency_max_us);
+  s->latency_p99_us = s->latency.Percentile(0.99, s->latency_max_us);
 }
 
 }  // namespace
+
+void LatencyHistogram::Add(uint64_t us) {
+  if (counts_.empty()) counts_.assign(kBuckets, 0);
+  ++counts_[Bucket(us)];
+  ++total_;
+}
+
+void LatencyHistogram::Merge(const LatencyHistogram& other) {
+  if (other.total_ == 0) return;
+  if (counts_.empty()) counts_.assign(kBuckets, 0);
+  for (size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  total_ += other.total_;
+}
+
+uint64_t LatencyHistogram::Percentile(double p, uint64_t cap) const {
+  if (total_ == 0) return 0;
+  // The rank is clamped so no rounding of `p * (n-1)` can run past the
+  // last sample.
+  const uint64_t rank = std::min(
+      static_cast<uint64_t>(p * static_cast<double>(total_ - 1)), total_ - 1);
+  uint64_t seen = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    seen += counts_[i];
+    if (seen > rank) return std::min(Midpoint(i), cap);
+  }
+  return cap;  // unreachable: the counts sum to total_
+}
+
+ServiceStats MergeStats(
+    const std::vector<std::pair<std::string, ServiceStats>>& per_db) {
+  ServiceStats total;
+  for (const auto& [name, part] : per_db) {
+    for (const StatField<ServiceStats>& f : kServiceStatFields) {
+      uint64_t& into = total.*f.member;
+      if (f.merge == StatMerge::kSum) into += part.*f.member;
+      if (f.merge == StatMerge::kMax) into = std::max(into, part.*f.member);
+    }
+    total.latency.Merge(part.latency);
+  }
+  ReadPercentiles(&total);
+  return total;
+}
 
 void StatsCollector::RecordSubmitted() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -56,12 +124,7 @@ void StatsCollector::RecordTerminal(bool started, bool cancelled, bool ok,
     ++counters_.failed;
   }
   uint64_t us = static_cast<uint64_t>(std::max<int64_t>(latency.count(), 0));
-  if (latencies_us_.size() < kMaxLatencySamples) {
-    latencies_us_.push_back(us);
-  } else {
-    latencies_us_[next_overwrite_] = us;
-    next_overwrite_ = (next_overwrite_ + 1) % kMaxLatencySamples;
-  }
+  counters_.latency.Add(us);
   ++counters_.latency_count;
   counters_.latency_max_us = std::max(counters_.latency_max_us, us);
 }
@@ -96,57 +159,27 @@ void StatsCollector::RecordStaleCursor() {
 }
 
 ServiceStats StatsCollector::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServiceStats out = counters_;
-  if (latencies_us_.empty()) {
-    // An empty window reports all-zero percentiles (and latency_count is
-    // zero by construction): never touch the sample buffer.
-    return out;
+  ServiceStats out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = counters_;
   }
-  std::vector<uint64_t> sorted = latencies_us_;
-  std::sort(sorted.begin(), sorted.end());
-  out.latency_p50_us = PercentileSorted(sorted, 0.50);
-  out.latency_p90_us = PercentileSorted(sorted, 0.90);
-  out.latency_p99_us = PercentileSorted(sorted, 0.99);
+  ReadPercentiles(&out);
   return out;
 }
 
 std::string ServiceStats::ToString() const {
+  // "<wire name, hyphenated> <value>" per field; a microsecond field moves
+  // its "_us" suffix onto the value.
   std::string s;
-  s += "submitted " + std::to_string(submitted);
-  s += ", accepted " + std::to_string(accepted);
-  s += ", shed " + std::to_string(shed);
-  s += ", completed " + std::to_string(completed);
-  s += ", failed " + std::to_string(failed);
-  s += ", cancelled " + std::to_string(cancelled);
-  s += ", retries " + std::to_string(retries);
-  s += ", degraded " + std::to_string(degraded);
-  s += "; cache hits " + std::to_string(cache_hits);
-  s += " misses " + std::to_string(cache_misses);
-  s += " coalesced " + std::to_string(cache_coalesced);
-  s += " bypass " + std::to_string(cache_bypass);
-  s += " entries " + std::to_string(cache_entries);
-  s += " evictions " + std::to_string(cache_evictions);
-  s += "; epoch " + std::to_string(epoch);
-  s += " deltas " + std::to_string(deltas_applied);
-  s += " journal-bytes " + std::to_string(journal_bytes);
-  s += " snapshots " + std::to_string(snapshots_taken);
-  s += " snapshot-failures " + std::to_string(snapshots_failed);
-  s += "; sandbox forks " + std::to_string(sandbox_forks);
-  s += " kills " + std::to_string(sandbox_kills);
-  s += " crashes " + std::to_string(sandbox_crashes);
-  s += " rss-breaches " + std::to_string(sandbox_rss_breaches);
-  s += " peak-rss-kb " + std::to_string(sandbox_peak_rss_kb);
-  s += "; parallel solves " + std::to_string(parallel_solves);
-  s += " components " + std::to_string(components_found);
-  s += " steals " + std::to_string(parallel_steals);
-  s += "; answers chunks " + std::to_string(answer_chunks);
-  s += " tuples " + std::to_string(answer_tuples);
-  s += " stale-cursors " + std::to_string(answers_stale_cursors);
-  s += "; latency us p50 " + std::to_string(latency_p50_us);
-  s += " p90 " + std::to_string(latency_p90_us);
-  s += " p99 " + std::to_string(latency_p99_us);
-  s += " max " + std::to_string(latency_max_us);
+  for (const StatField<ServiceStats>& f : kServiceStatFields) {
+    std::string_view name = f.name;
+    const bool us = name.ends_with("_us");
+    if (us) name.remove_suffix(3);
+    if (!s.empty()) s += ", ";
+    for (char c : name) s += c == '_' ? '-' : c;
+    s += ' ' + std::to_string(this->*f.member) + (us ? "us" : "");
+  }
   return s;
 }
 

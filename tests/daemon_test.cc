@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -764,6 +766,166 @@ TEST(DaemonDeltaTest, AdminFramesDoNotStallTheReader) {
   Result<WireResponse> solved = f.client.WaitTerminal(3, kIo);
   ASSERT_TRUE(solved.ok()) << solved.error();
   EXPECT_EQ(solved->verdict, "certain");
+}
+
+// ---------------------------------------------------------------------------
+// Stats frame
+
+std::vector<std::string> Keys(const Json* object) {
+  std::vector<std::string> keys;
+  if (object == nullptr || !object->is_object()) return keys;
+  for (const auto& [key, value] : object->AsObject()) keys.push_back(key);
+  return keys;
+}
+
+std::string AnswersFrame(uint64_t id, const std::string& query,
+                         uint64_t max_chunk, const std::string& cursor = "") {
+  JsonObjectBuilder b;
+  b.Set("type", "answers").Set("id", id).Set("query", query);
+  b.Set("free", Json::MakeArray({Json::MakeString("x")}));
+  b.Set("max_chunk", max_chunk);
+  if (!cursor.empty()) b.Set("cursor", cursor);
+  return b.Build().Serialize();
+}
+
+TEST(DaemonStatsTest, AggregateIsTheDeclaredMergeOfThePerDbObjects) {
+  // The default database serves 12 single-fact R blocks, 4 of them blocked
+  // by an S witness, so the answers stream below spans several chunks.
+  std::string facts = "R(a | b), R(a | c)\nS(b | a)\n";
+  for (int i = 10; i < 22; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    facts += "R(" + key + " | " + key + ")\n";
+    if (i % 3 == 0) facts += "S(" + key + " | " + key + ")\n";
+  }
+  const std::string answers_query = "R(x | y), not S(x | y)";
+  DaemonOptions options;
+  options.service.cache_entries = 128;
+  DaemonFixture f(options, facts.c_str());
+  ASSERT_TRUE(f.daemon->Attach("b", Db(kDbBFacts)).ok());
+
+  uint64_t id = 1;
+  for (const char* db : {"", "b", "", "b"}) {
+    ASSERT_TRUE(f.Send(SolveFrameFor(id, kDifferentialQuery, db)).ok());
+    ASSERT_TRUE(f.client.WaitTerminal(id++, kIo).ok());
+  }
+  ASSERT_TRUE(f.Send(SolveFrameFor(id, "R(x | y)", "b")).ok());
+  ASSERT_TRUE(f.client.WaitTerminal(id++, kIo).ok());
+
+  // A multi-chunk stream; keep its first mid-stream cursor.
+  const uint64_t stream = id++;
+  ASSERT_TRUE(f.Send(AnswersFrame(stream, answers_query, 2)).ok());
+  std::string cursor;
+  int chunks = 0;
+  for (;;) {
+    Result<WireResponse> r = f.client.ReadResponse(kIo);
+    ASSERT_TRUE(r.ok()) << r.error();
+    if (r->type != "answer_chunk") {
+      ASSERT_EQ(r->type, "answer_done") << r->raw.Serialize();
+      break;
+    }
+    ++chunks;
+    if (cursor.empty()) cursor = r->cursor;
+  }
+  ASSERT_GE(chunks, 2);
+  ASSERT_FALSE(cursor.empty());
+
+  // A delta flips the default database's epoch, staling the cursor.
+  DeltaOp insert;
+  insert.insert = true;
+  insert.relation = "R";
+  insert.values = {"zz", "zz"};
+  ASSERT_TRUE(f.Send(DeltaFrame(id++, "stats-d1", {insert})).ok());
+  Result<WireResponse> ack = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(ack.ok()) << ack.error();
+  ASSERT_EQ(ack->type, "delta_ack") << ack->raw.Serialize();
+  ASSERT_TRUE(f.Send(AnswersFrame(id++, answers_query, 2, cursor)).ok());
+  Result<WireResponse> stale = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(stale.ok()) << stale.error();
+  ASSERT_EQ(stale->code, "stale-cursor") << stale->raw.Serialize();
+
+  ASSERT_TRUE(f.Send(R"({"type":"stats","id":99})").ok());
+  Result<WireResponse> frame = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(frame.ok()) << frame.error();
+  const Json* service = frame->raw.Find("service");
+  const Json* dbs = frame->raw.Find("databases");
+  ASSERT_NE(service, nullptr);
+  ASSERT_NE(dbs, nullptr);
+  ASSERT_EQ(dbs->AsObject().size(), 2u);
+  // The percentile fields are re-read from the pooled histograms, which the
+  // frame does not carry; the daemon is idle, so its shards still hold them.
+  const ServiceStats pooled = MergeStats(f.daemon->stats_per_db());
+
+  int checked = 0;
+  for (const auto& [key, value] : service->AsObject()) {
+    SCOPED_TRACE(key);
+    ASSERT_TRUE(value.is_number());
+    const StatField<ServiceStats>* field = nullptr;
+    for (const StatField<ServiceStats>& row : kServiceStatFields) {
+      if (key == row.name) field = &row;
+    }
+    ASSERT_NE(field, nullptr) << "undeclared service key";
+    int64_t expected = 0;
+    for (const auto& [name, db] : dbs->AsObject()) {
+      const int64_t part = db.Find(key)->AsInt();
+      expected = field->merge == StatMerge::kMax ? std::max(expected, part)
+                                                 : expected + part;
+    }
+    if (field->merge == StatMerge::kPooled) {
+      expected = static_cast<int64_t>(pooled.*field->member);
+    }
+    EXPECT_EQ(value.AsInt(), expected);
+    ++checked;
+  }
+  EXPECT_EQ(checked, static_cast<int>(std::size(kServiceStatFields)));
+  EXPECT_GE(service->Find("answer_chunks")->AsInt(), chunks);
+  EXPECT_GT(service->Find("answer_tuples")->AsInt(), 0);
+  EXPECT_EQ(service->Find("answers_stale_cursors")->AsInt(), 1);
+}
+
+TEST(DaemonStatsTest, WireKeysArePinned) {
+  // The exact key set, in wire (sorted) order, of each stats frame object.
+  // Operators' scripts, tools/ci.sh and daemonbench read these by name.
+  const std::vector<std::string> service_keys = {
+      "accepted", "answer_chunks", "answer_tuples", "answers_stale_cursors",
+      "cache_bypass", "cache_coalesced", "cache_entries", "cache_evictions",
+      "cache_hits", "cache_invalidated", "cache_misses", "cache_rekeyed",
+      "cancelled", "completed", "components_found", "degraded",
+      "deltas_applied", "epoch", "failed", "inflight", "journal_bytes",
+      "journal_fsyncs", "latency_count", "latency_max_us", "latency_p50_us",
+      "latency_p90_us", "latency_p99_us", "parallel_solves",
+      "parallel_steals", "retries", "sandbox_crashes", "sandbox_forks",
+      "sandbox_kills", "sandbox_peak_rss_kb", "sandbox_rss_breaches", "shed",
+      "snapshot_bytes", "snapshot_epoch", "snapshots_failed",
+      "snapshots_taken", "submitted"};
+  const std::vector<std::string> daemon_keys = {
+      "answer_chunks_sent", "answer_tuples_sent", "answers_resumed",
+      "answers_stale_cursors", "answers_streams", "connections_active",
+      "connections_closed_error", "connections_closed_garbage",
+      "connections_closed_idle", "connections_closed_oversize",
+      "connections_opened", "databases_attached", "databases_detached",
+      "deltas_applied", "deltas_rejected", "follower_apply_errors",
+      "follower_connects", "follower_deltas_applied", "follower_disconnects",
+      "follower_snapshots_applied", "frames_garbage", "frames_received",
+      "repl_acks_received", "repl_events_sent", "repl_lag",
+      "repl_streams_closed", "repl_streams_opened", "sandbox_crashes",
+      "sandbox_forks", "sandbox_kills", "sandbox_peak_rss_kb",
+      "sandbox_rss_breaches", "solves_admitted", "solves_rejected_detached",
+      "solves_rejected_inflight_cap", "solves_rejected_overloaded"};
+
+  DaemonFixture f;
+  ASSERT_TRUE(f.daemon->Attach("b", Db(kDbBFacts)).ok());
+  ASSERT_TRUE(f.Send(R"({"type":"stats","id":1})").ok());
+  Result<WireResponse> frame = f.client.ReadResponse(kIo);
+  ASSERT_TRUE(frame.ok()) << frame.error();
+  EXPECT_EQ(Keys(&frame->raw),
+            (std::vector<std::string>{"daemon", "databases", "id", "service",
+                                      "type"}));
+  EXPECT_EQ(Keys(frame->raw.Find("service")), service_keys);
+  EXPECT_EQ(Keys(frame->raw.Find("daemon")), daemon_keys);
+  const Json* dbs = frame->raw.Find("databases");
+  EXPECT_EQ(Keys(dbs), (std::vector<std::string>{"b", "default"}));
+  EXPECT_EQ(Keys(dbs->Find("b")), service_keys);
+  EXPECT_EQ(Keys(dbs->Find("default")), service_keys);
 }
 
 TEST(DaemonTest, StartFailsCleanlyOnAddressInUse) {

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -257,6 +259,73 @@ TEST(StatsTest, SingleSampleWindowClampsEveryPercentile) {
   EXPECT_EQ(s.latency_p50_us, 42u);
   EXPECT_EQ(s.latency_p99_us, 42u);
   EXPECT_EQ(s.latency_max_us, 42u);
+}
+
+// The declared error of a histogram read: exact below 1024 µs, within
+// 1/256 of the sample above.
+void ExpectWithinBucketError(uint64_t read, uint64_t sample) {
+  if (sample < 1024) {
+    EXPECT_EQ(read, sample);
+  } else {
+    uint64_t diff = read > sample ? read - sample : sample - read;
+    EXPECT_LE(diff * 256, sample) << "read " << read << " for " << sample;
+  }
+}
+
+TEST(StatsTest, LatencyHistogramIsExactBelow1024AndBoundedAbove) {
+  for (uint64_t us = 0; us < (uint64_t{1} << 42); us = us * 5 / 4 + 1) {
+    // A huge second sample keeps the max cap out of the p50 read.
+    StatsCollector stats;
+    stats.RecordTerminal(false, false, true, false, microseconds(us));
+    stats.RecordTerminal(false, false, true, false,
+                         microseconds(int64_t{1} << 45));
+    ServiceStats s = stats.Snapshot();
+    if (us < (uint64_t{1} << 40)) {
+      ExpectWithinBucketError(s.latency_p50_us, us);
+    }
+    EXPECT_EQ(s.latency_max_us, uint64_t{1} << 45);
+  }
+}
+
+TEST(StatsTest, MergedCollectorsReadPooledPercentiles) {
+  // Two shards with disjoint latency ranges: the aggregate percentiles are
+  // the pooled samples' nearest-rank percentiles, not any shard's.
+  StatsCollector fast, slow;
+  std::vector<uint64_t> pooled;
+  for (uint64_t us = 1; us <= 100; ++us) {
+    fast.RecordTerminal(false, false, true, false, microseconds(us));
+    pooled.push_back(us);
+  }
+  for (uint64_t us = 5'000; us <= 6'000; ++us) {
+    slow.RecordTerminal(false, false, true, false, microseconds(us));
+    pooled.push_back(us);
+  }
+  ServiceStats merged =
+      MergeStats({{"fast", fast.Snapshot()}, {"slow", slow.Snapshot()}});
+  std::sort(pooled.begin(), pooled.end());
+  auto nearest_rank = [&](double p) {
+    return pooled[static_cast<size_t>(p * (pooled.size() - 1))];
+  };
+  EXPECT_EQ(merged.latency_count, pooled.size());
+  ExpectWithinBucketError(merged.latency_p50_us, nearest_rank(0.50));
+  ExpectWithinBucketError(merged.latency_p90_us, nearest_rank(0.90));
+  ExpectWithinBucketError(merged.latency_p99_us, nearest_rank(0.99));
+  EXPECT_EQ(merged.latency_max_us, 6'000u);
+  EXPECT_EQ(merged.completed, pooled.size());
+}
+
+TEST(StatsTest, MergeRulesFollowFieldKinds) {
+  for (const StatField<ServiceStats>& f : kServiceStatFields) {
+    SCOPED_TRACE(f.name);
+    if (f.kind == StatKind::kCounter) {
+      EXPECT_EQ(f.merge, StatMerge::kSum);
+    }
+    if (f.kind == StatKind::kHighWater) {
+      EXPECT_EQ(f.merge, StatMerge::kMax);
+    }
+    EXPECT_EQ(f.merge == StatMerge::kPooled,
+              std::string(f.name).starts_with("latency_p"));
+  }
 }
 
 TEST(StatsTest, CancelledWhileQueuedCountsInExactlyOneBucket) {
