@@ -758,19 +758,19 @@ void TableDurability() {
   std::printf("\n");
 }
 
-// The D8 instance: C value-disjoint components under PigeonholeCyclicQuery
-// "R(x | y), not S(y | x), not T(x | y)". Components c = 0..C-2 are chaff —
+// The D8 instance: C value-disjoint components under
+// PigeonholeBacktrackingQuery "R(x | y), not S(y | x), not T(y | x)" (T keyed
+// by y keeps it off the matching engine). Components c = 0..C-2 are chaff —
 // an R-block {R(ca|cb1), R(ca|cb2)} whose S mirrors are present, so *every*
-// repair of the component falsifies the query, two ways; each chaff
-// component multiplies the falsifying combinations a sequential
-// backtracking proof must exhaust. The last component is a certain
-// pigeonhole core: the whole database is CERTAINTY-true via that one
-// component, which a decomposed solve discovers after ~one core proof.
-// Values get a per-C prefix and the chaff is added (interned) before the
-// core: the backtracking engine's key-major block order follows interner
-// ids, so this pins the chaff blocks ahead of the core in the sequential
-// search — the adversarial ordering — independent of what earlier tables
-// happened to intern.
+// repair of the component falsifies the query, two ways; each chaff component
+// multiplies the falsifying combinations a sequential backtracking proof must
+// exhaust. The last component is a certain pigeonhole core: the whole
+// database is CERTAINTY-true via that one component, which a decomposed solve
+// discovers after ~one core proof. Values get a per-C prefix and the chaff is
+// added (interned) before the core: the backtracking engine's key-major block
+// order follows interner ids, so this pins the chaff blocks ahead of the core
+// in the sequential search — the adversarial ordering — independent of what
+// earlier tables happened to intern.
 Database AdversarialComponents(int copies, int core_k) {
   std::string p = "d8c" + std::to_string(copies) + "_";
   Schema schema;
@@ -807,7 +807,7 @@ void TableComponentParallel() {
       "    product, parallel cost stays ~one core proof:\n");
   std::printf("%-6s %-12s %-12s %-9s %-12s %-8s %-8s\n", "C", "seq_ms",
               "par8_ms(p50)", "speedup", "verdicts", "comps", "steals");
-  const std::string query = "R(x | y), not S(y | x), not T(x | y)";
+  const std::string query = "R(x | y), not S(y | x), not T(y | x)";
   const milliseconds kSlowIo{180'000};  // the C=8 sequential proof is slow
   DaemonOptions options;
   options.service.workers = 2;

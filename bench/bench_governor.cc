@@ -61,8 +61,9 @@ void TableBoundedLatency() {
     SolveOptions options;
     options.budget = &budget;
     Result<SolveReport> r = Result<SolveReport>::Error("unset");
-    double t = benchutil::TimeUs(
-        [&] { r = SolveCertainty(PigeonholeCyclicQuery(), db, options); });
+    double t = benchutil::TimeUs([&] {
+      r = SolveCertainty(PigeonholeBacktrackingQuery(), db, options);
+    });
     if (r.ok()) {
       std::printf("%-22s %-20s %-10.1f %-12llu  (confidence %.4f)\n",
                   "auto + degradation",

@@ -20,7 +20,8 @@
 //    their timestamps regardless of completions (open loop), which is
 //    what makes overload and shed behaviour reachable;
 //  * adversarial salt: every `pigeonhole_every`-th request targets a
-//    dedicated pigeonhole tenant with the coNP-hard cyclic query over
+//    dedicated pigeonhole tenant with `PigeonholeBacktrackingQuery` (a
+//    cyclic query outside the matching engine's class) over
 //    `PigeonholeDatabase(pigeonhole_k)` — exponential backtracking mixed
 //    into otherwise light traffic.
 //
@@ -175,7 +176,8 @@ inline Trace GenerateTrace(const TraceGenOptions& options) {
         "pigeon", PigeonholeDatabase(std::max(2, options.pigeonhole_k))
                       .ToText());
   }
-  const std::string pigeon_query = WireQueryText(PigeonholeCyclicQuery());
+  const std::string pigeon_query =
+      WireQueryText(PigeonholeBacktrackingQuery());
 
   // Zipf cumulative weights over the pool, rank = pool order (already a
   // random permutation of tenants/queries by construction).

@@ -147,8 +147,8 @@ Result<bool> RunExact(SolverMethod method, const Query& q, const Database& db,
       if (!r.has_value()) {
         return Result<bool>::Error(
             ErrorCode::kUnsupported,
-            "query does not have the q1 shape required by the matching "
-            "solver");
+            "query is not q1 plus self-covering negated atoms, the class "
+            "the matching solver requires");
       }
       return *r;
     }

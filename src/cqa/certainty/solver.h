@@ -18,8 +18,9 @@ namespace cqa {
 
 /// Strategy for `SolveCertainty`.
 enum class SolverMethod {
-  /// Classify first: FO queries go through Algorithm 1; q1-shaped hard
-  /// queries use the polynomial matching solver; everything else uses the
+  /// Classify first: FO queries go through Algorithm 1; hard queries in the
+  /// matching class (`DetectQ1Shape`: q1 plus self-covering negated atoms)
+  /// use the polynomial matching solver; everything else uses the
   /// exact backtracking search. Under a budget, exhaustion of the exact
   /// solver degrades to Monte-Carlo sampling (see `SolveOptions`).
   kAuto,
@@ -27,7 +28,7 @@ enum class SolverMethod {
   kAlgorithm1,   // direct Algorithm 1 interpreter (requires FO class)
   kBacktracking, // exact branch-and-prune over blocks (any query)
   kNaive,        // full repair enumeration (any query; oracle)
-  kMatchingQ1,   // Hopcroft–Karp (requires q1 shape)
+  kMatchingQ1,   // Hopcroft–Karp (requires the DetectQ1Shape class)
   kSampling,     // Monte-Carlo repair sampling (any query; approximate)
 };
 

@@ -11,7 +11,8 @@
 ///   3. If in FO: `RewriteCertain` and evaluate/export the formula (fo/,
 ///      rewriting/), or interpret with `Algorithm1`.
 ///   4. Otherwise: decide exactly with `IsCertainBacktracking`, or for
-///      q1-shaped queries with `IsCertainQ1ByMatching` (certainty/).
+///      queries in the matching class (q1 plus self-covering negated
+///      atoms) with `IsCertainQ1ByMatching` (certainty/).
 /// The reductions/ directory holds the paper's constructions as runnable
 /// code; gen/ provides seeded workloads.
 

@@ -45,6 +45,13 @@ Query PigeonholeCyclicQuery() {
        Neg(Atom("T", 1, {Term::Var("x"), Term::Var("y")}))});
 }
 
+Query PigeonholeBacktrackingQuery() {
+  return Query::MakeOrDie(
+      {Pos(Atom("R", 1, {Term::Var("x"), Term::Var("y")})),
+       Neg(Atom("S", 1, {Term::Var("y"), Term::Var("x")})),
+       Neg(Atom("T", 1, {Term::Var("y"), Term::Var("x")}))});
+}
+
 Database PigeonholeDatabase(int k) {
   assert(k >= 2);
   Schema schema;

@@ -41,18 +41,49 @@ struct HkState {
     return found_free;
   }
 
-  bool Dfs(int l) {
-    for (int r : g->Neighbors(l)) {
-      int l2 = match_r[static_cast<size_t>(r)];
-      if (l2 < 0 || (dist[static_cast<size_t>(l2)] ==
-                         dist[static_cast<size_t>(l)] + 1 &&
-                     Dfs(l2))) {
-        match_l[static_cast<size_t>(l)] = r;
-        match_r[static_cast<size_t>(r)] = l;
+  /// One frame of the augmenting-path search: left vertex `l`, trying
+  /// its `next`-th neighbour.
+  struct Frame {
+    int l = 0;
+    size_t next = 0;
+  };
+  /// The current alternating path from the root, one frame per left vertex.
+  std::vector<Frame> path;
+
+  /// Searches the layered graph for an augmenting path from the free left
+  /// vertex `root` and flips it. Iterative — a path can be as long as the
+  /// graph, so a recursion per edge would overflow the call stack — but it
+  /// visits edges exactly as the recursive formulation does.
+  bool Dfs(int root) {
+    path.clear();
+    path.push_back(Frame{root, 0});
+    while (!path.empty()) {
+      Frame& f = path.back();
+      const std::vector<int>& nbrs = g->Neighbors(f.l);
+      if (f.next == nbrs.size()) {
+        // Dead end: no augmenting path through f.l in this phase.
+        dist[static_cast<size_t>(f.l)] = kInf;
+        path.pop_back();
+        if (!path.empty()) ++path.back().next;
+        continue;
+      }
+      int l2 = match_r[static_cast<size_t>(nbrs[f.next])];
+      if (l2 < 0) {
+        // Free right vertex: flip every edge on the path.
+        for (const Frame& p : path) {
+          int r = g->Neighbors(p.l)[p.next];
+          match_l[static_cast<size_t>(p.l)] = r;
+          match_r[static_cast<size_t>(r)] = p.l;
+        }
         return true;
       }
+      if (dist[static_cast<size_t>(l2)] ==
+          dist[static_cast<size_t>(f.l)] + 1) {
+        path.push_back(Frame{l2, 0});  // invalidates f
+      } else {
+        ++f.next;
+      }
     }
-    dist[static_cast<size_t>(l)] = kInf;
     return false;
   }
 };

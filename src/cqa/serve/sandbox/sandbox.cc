@@ -124,8 +124,9 @@ std::optional<IsolationMode> ParseIsolationMode(const std::string& s) {
 
 bool ShouldIsolate(const Query& q) {
   // The tractable islands: an FO classification solves by rewriting in
-  // polynomial time, and a q1-shaped query solves by matching. Everything
-  // else may hand the exact solvers an exponential search.
+  // polynomial time, and a query in the matching class (q1 plus
+  // self-covering negated atoms) solves by matching. Everything else may
+  // hand the exact solvers an exponential search.
   if (Classify(q).cls == CertaintyClass::kFO) return false;
   if (DetectQ1Shape(q).has_value()) return false;
   return true;

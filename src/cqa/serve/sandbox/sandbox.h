@@ -47,8 +47,9 @@ namespace cqa {
 /// Where a solve runs.
 enum class IsolationMode {
   /// Defer to policy: the service escalates to `kFork` when the query
-  /// classifies outside the tractable islands (not FO and not q1-shaped),
-  /// i.e. exactly when the exact solver can go exponential.
+  /// classifies outside the tractable islands (not FO and not in the
+  /// matching class of `DetectQ1Shape`), i.e. exactly when the exact solver
+  /// can go exponential.
   kAuto,
   /// In the worker thread, cooperative budget only (the historical mode).
   kInproc,
@@ -62,8 +63,9 @@ std::string ToString(IsolationMode m);
 std::optional<IsolationMode> ParseIsolationMode(const std::string& s);
 
 /// True when policy says `q` deserves fork isolation under `kAuto`: the
-/// query is not in the FO island and not q1-shaped, so the exact solvers
-/// may take exponential time and hard preemption is the only reclaim
+/// query is not in the FO island and not in the matching class of
+/// `DetectQ1Shape` (q1 plus self-covering negated atoms), so the exact
+/// solvers may take exponential time and hard preemption is the only reclaim
 /// guarantee.
 bool ShouldIsolate(const Query& q);
 

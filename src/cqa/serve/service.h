@@ -214,7 +214,8 @@ struct ServiceOptions {
   /// `kAuto`: `kInproc` (the default) runs every solve on the worker
   /// thread; `kFork` sandboxes every solve; `kAuto` escalates to a
   /// sandbox exactly when `ShouldIsolate(q)` says the query is coNP-risk
-  /// (not FO, not q1-shaped) — the traffic whose exact solvers can wedge.
+  /// (not FO, not in the matching class) — the traffic whose exact solvers
+  /// can wedge.
   IsolationMode isolation = IsolationMode::kInproc;
   /// Hard limits for sandboxed solves (kill grace, RSS cap).
   SandboxLimits sandbox;

@@ -431,11 +431,11 @@ TEST(CachePropertyTest, DegradedVerdictIsNotCachedAndRetryResolves) {
   // First submission: fault injection exhausts the exact stage, the kAuto
   // path degrades to a qualified verdict. That verdict must not be cached:
   // the clean resubmission re-solves and reports the exact verdict. The
-  // cyclic pigeonhole query forces the governed backtracking solver — a
-  // q1-shaped query would be answered by the ungoverned poly-time matcher
-  // before the injected fault could bite.
+  // backtracking pigeonhole query forces the governed backtracking solver —
+  // a query in the matching class would be answered by the ungoverned
+  // poly-time matcher before the injected fault could bite.
   auto db = std::make_shared<const Database>(PigeonholeDatabase(6));
-  Query q = PigeonholeCyclicQuery();
+  Query q = PigeonholeBacktrackingQuery();
   Result<SolveReport> cold = SolveCertainty(q, *db, SolverMethod::kAuto);
   ASSERT_TRUE(cold.ok()) << cold.error();
 

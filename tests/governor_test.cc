@@ -172,15 +172,27 @@ TEST(PigeonholeTest, InstanceIsCertainAndHard) {
   ASSERT_TRUE(oracle_cyclic.ok());
   EXPECT_TRUE(oracle_cyclic.value());
 
-  // The matching solver decides the q1-shaped variant in polynomial time...
+  // The matching solver decides q1 in polynomial time...
   std::optional<bool> matched =
       IsCertainQ1ByMatching(PigeonholeQuery(), PigeonholeDatabase(12));
   ASSERT_TRUE(matched.has_value());
   EXPECT_TRUE(*matched);
-  // ...but the third atom of the cyclic variant defeats shape detection and
-  // keeps the attack graph cyclic, forcing kAuto onto backtracking.
-  EXPECT_FALSE(DetectQ1Shape(PigeonholeCyclicQuery()).has_value());
+  // ...and so the cyclic variant, whose third atom ¬T(x | y) is
+  // self-covering...
+  EXPECT_TRUE(DetectQ1Shape(PigeonholeCyclicQuery()).has_value());
   EXPECT_NE(Classify(PigeonholeCyclicQuery()).cls, CertaintyClass::kFO);
+  matched =
+      IsCertainQ1ByMatching(PigeonholeCyclicQuery(), PigeonholeDatabase(12));
+  ASSERT_TRUE(matched.has_value());
+  EXPECT_TRUE(*matched);
+  // ...but ¬T(y | x) defeats shape detection and keeps the attack graph
+  // cyclic, forcing kAuto onto backtracking.
+  Result<bool> oracle_backtracking =
+      IsCertainNaive(PigeonholeBacktrackingQuery(), small, oracle_opts);
+  ASSERT_TRUE(oracle_backtracking.ok());
+  EXPECT_TRUE(oracle_backtracking.value());
+  EXPECT_FALSE(DetectQ1Shape(PigeonholeBacktrackingQuery()).has_value());
+  EXPECT_NE(Classify(PigeonholeBacktrackingQuery()).cls, CertaintyClass::kFO);
 }
 
 // Acceptance: every exponential solver obeys a 50 ms deadline within 2x.
@@ -350,7 +362,8 @@ TEST(GovernorTest, FaultInjectionSolveCascadeEndsExhausted) {
   b.fail_after_probes = 1;
   SolveOptions options;
   options.budget = &b;
-  Result<SolveReport> r = SolveCertainty(PigeonholeCyclicQuery(), db, options);
+  Result<SolveReport> r =
+      SolveCertainty(PigeonholeBacktrackingQuery(), db, options);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r->verdict, Verdict::kExhausted);
   EXPECT_EQ(r->samples, 0u);
@@ -391,7 +404,8 @@ TEST(GovernorTest, CancellationDoesNotDegradeToSampling) {
   budget.cancel = &cancel;
   SolveOptions options;
   options.budget = &budget;
-  Result<SolveReport> r = SolveCertainty(PigeonholeCyclicQuery(), db, options);
+  Result<SolveReport> r =
+      SolveCertainty(PigeonholeBacktrackingQuery(), db, options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kCancelled);
 }
@@ -407,7 +421,8 @@ TEST(GovernorTest, AutoCascadeYieldsQualifiedSamplingVerdict) {
   SolveOptions options;
   options.budget = &budget;
   auto start = Clock::now();
-  Result<SolveReport> r = SolveCertainty(PigeonholeCyclicQuery(), db, options);
+  Result<SolveReport> r =
+      SolveCertainty(PigeonholeBacktrackingQuery(), db, options);
   auto elapsed = Clock::now() - start;
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_LE(elapsed, milliseconds(100)) << "cascade overshot the deadline 2x";
@@ -432,7 +447,8 @@ TEST(GovernorTest, DegradationOffMakesExhaustionAnError) {
   SolveOptions options;
   options.budget = &budget;
   options.degrade_to_sampling = false;
-  Result<SolveReport> r = SolveCertainty(PigeonholeCyclicQuery(), db, options);
+  Result<SolveReport> r =
+      SolveCertainty(PigeonholeBacktrackingQuery(), db, options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kDeadlineExceeded);
 }

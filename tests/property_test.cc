@@ -8,6 +8,7 @@
 #include "cqa/fo/eval.h"
 #include "cqa/gen/random_db.h"
 #include "cqa/gen/random_query.h"
+#include "cqa/query/parser.h"
 #include "cqa/rewriting/algorithm1.h"
 #include "cqa/rewriting/rewriter.h"
 
@@ -80,6 +81,52 @@ TEST_P(SolverAgreementTest, AllSolversMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverAgreementTest,
                          ::testing::Range<uint64_t>(1, 61));
+
+// The matching engine's widened class — q1 plus self-covering negated
+// atoms — on six shapes: q1 itself, ¬T(x|y), two extra atoms, a unary
+// ¬U(x), a repeated-variable ¬T(x|x) and a wider ¬T(x|y,x). The matching
+// solver must agree with the repair-enumeration oracle on every instance,
+// and auto dispatch must route each shape to matching.
+class MatchingClassTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MatchingClassTest, MatchingAgreesWithNaive) {
+  Result<Query> q = ParseQuery(GetParam());
+  ASSERT_TRUE(q.ok()) << q.error();
+  Rng rng(std::hash<std::string>()(GetParam()));
+  RandomDbOptions dopts;
+  dopts.blocks_per_relation = 3;
+  dopts.max_block_size = 3;
+  dopts.domain_size = 4;
+  int certain = 0;
+  constexpr int kInstances = 300;
+  for (int i = 0; i < kInstances; ++i) {
+    Database db = GenerateRandomDatabaseFor(*q, dopts, &rng);
+    Result<SolveReport> oracle = SolveCertainty(*q, db, SolverMethod::kNaive);
+    ASSERT_TRUE(oracle.ok()) << oracle.error();
+    Result<SolveReport> matched =
+        SolveCertainty(*q, db, SolverMethod::kMatchingQ1);
+    ASSERT_TRUE(matched.ok()) << matched.error();
+    ASSERT_EQ(matched->certain, oracle->certain)
+        << "matching disagrees on " << q->ToString() << "\n"
+        << db.ToString();
+    Result<SolveReport> facade = SolveCertainty(*q, db);
+    ASSERT_TRUE(facade.ok()) << facade.error();
+    EXPECT_EQ(facade->used, SolverMethod::kMatchingQ1);
+    if (oracle->certain) ++certain;
+  }
+  // Both verdicts occur, so neither side of the rule goes untested.
+  EXPECT_GT(certain, 0);
+  EXPECT_LT(certain, kInstances);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MatchingClassTest,
+    ::testing::Values("R(x | y), not S(y | x)",
+                      "R(x | y), not S(y | x), not T(x | y)",
+                      "R(x | y), not S(y | x), not T(x | y), not U(x)",
+                      "R(x | y), not S(y | x), not U(x)",
+                      "R(x | y), not S(y | x), not T(x | x)",
+                      "R(x | y), not S(y | x), not T(x | y, x)"));
 
 // Rewriting evaluation is consistent across database mutations: adding a
 // fact to a negated-atom relation can only flip in controlled ways; here we

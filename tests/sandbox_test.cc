@@ -179,12 +179,15 @@ TEST(SandboxPolicyTest, ShouldIsolateTracksTheTractableIslands) {
   // FO island: poly-time rewriting, no sandbox needed.
   EXPECT_FALSE(ShouldIsolate(Q("R(x | y)")));
   EXPECT_FALSE(ShouldIsolate(ChainQuery(3)));
-  // q1 island: coNP-complete in general but this *shape* solves by
-  // matching in poly time, so auto policy keeps it in-process.
+  // Matching island: q1 solves by matching in poly time (Lemma 5.2), and
+  // so does q1 plus the self-covering ¬T(x | y), so auto policy keeps both
+  // in-process.
   EXPECT_FALSE(ShouldIsolate(PigeonholeQuery()));
-  // Off-island: the extra negated atom defeats the q1 detector and the
-  // attack graph is cyclic — exact solvers may go exponential.
-  EXPECT_TRUE(ShouldIsolate(PigeonholeCyclicQuery()));
+  EXPECT_FALSE(ShouldIsolate(PigeonholeCyclicQuery()));
+  // Off-island: ¬T(y | x) is keyed by y, so the matching detector rejects
+  // the query and the attack graph is cyclic — exact solvers may go
+  // exponential.
+  EXPECT_TRUE(ShouldIsolate(PigeonholeBacktrackingQuery()));
   EXPECT_TRUE(ShouldIsolate(CycleQuery(2)));
 }
 
@@ -454,7 +457,8 @@ TEST(SandboxSolveTest, AutoPolicyForksExactlyTheCoNpRiskQueries) {
   ASSERT_TRUE(service.Submit(ServeJob(PigeonholeQuery(), db), callback).ok());
   // Off-island: must escalate to a fork.
   ASSERT_TRUE(
-      service.Submit(ServeJob(PigeonholeCyclicQuery(), db), callback).ok());
+      service.Submit(ServeJob(PigeonholeBacktrackingQuery(), db), callback)
+          .ok());
   EXPECT_TRUE(service.Shutdown(milliseconds(20'000)));
   ASSERT_EQ(responses.size(), 3u);
   for (const ServeResponse& r : responses) {

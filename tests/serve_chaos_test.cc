@@ -85,7 +85,7 @@ void RunMixedWorkload(uint64_t seed) {
       std::make_shared<const Database>(PigeonholeDatabase(9));
   Query certain_q = Q("R(x | y)");
   Query not_certain_q = Q("R(x | y), not S(y | x)");
-  Query hard_q = PigeonholeCyclicQuery();
+  Query hard_q = PigeonholeBacktrackingQuery();
 
   ServiceOptions options;
   options.workers = 4;
@@ -203,7 +203,7 @@ TEST(ServeChaosTest, SheddingKicksInUnderOverload) {
   Ledger ledger;
   auto cb = [&ledger](const ServeResponse& r) { ledger.Record(r); };
 
-  ServeJob blocker(PigeonholeCyclicQuery(), hard_db);
+  ServeJob blocker(PigeonholeBacktrackingQuery(), hard_db);
   blocker.degrade_to_sampling = false;
   Result<uint64_t> blocker_id = service.Submit(std::move(blocker), cb);
   ASSERT_TRUE(blocker_id.ok());
@@ -272,7 +272,7 @@ TEST(ServeChaosTest, ShutdownAlwaysTerminatesUnderLoad) {
   for (int i = 0; i < 40; ++i) {
     ServeJob job = [&]() -> ServeJob {
       if (i % 4 == 0) {
-        ServeJob j(PigeonholeCyclicQuery(), hard_db);  // unbounded
+        ServeJob j(PigeonholeBacktrackingQuery(), hard_db);  // unbounded
         j.degrade_to_sampling = false;
         return j;
       }

@@ -411,10 +411,10 @@ TEST(SolveServiceTest, BatchCompletesWithCorrectVerdicts) {
 TEST(SolveServiceTest, ServiceDeadlineIsInheritedByEveryRequest) {
   // An already-expired service deadline: each attempt's budget trips on its
   // first probe, and the kAuto path degrades to an (empty) sampling stage,
-  // so requests complete with the honest kExhausted verdict. The cyclic
-  // pigeonhole query forces the governed backtracking solver (a q1-shaped
-  // query would be answered by the ungoverned poly-time matcher before the
-  // deadline could bite).
+  // so requests complete with the honest kExhausted verdict. The
+  // backtracking pigeonhole query forces the governed backtracking solver
+  // (a query in the matching class would be answered by the ungoverned
+  // poly-time matcher before the deadline could bite).
   Database db = PigeonholeDatabase(6);
   auto shared = std::make_shared<const Database>(std::move(db));
   ServiceOptions options;
@@ -422,9 +422,10 @@ TEST(SolveServiceTest, ServiceDeadlineIsInheritedByEveryRequest) {
   options.service_deadline = Budget::Clock::now() - milliseconds(1);
   SolveService service(options);
   ResponseSink sink;
-  ASSERT_TRUE(
-      service.Submit(ServeJob(PigeonholeCyclicQuery(), shared), sink.Callback())
-          .ok());
+  ASSERT_TRUE(service
+                  .Submit(ServeJob(PigeonholeBacktrackingQuery(), shared),
+                          sink.Callback())
+                  .ok());
   EXPECT_TRUE(service.Shutdown(milliseconds(10'000)));
   ASSERT_EQ(sink.Count(), 1u);
   const ServeResponse& r = sink.responses[0];
@@ -537,7 +538,7 @@ TEST(SolveServiceTest, DegradedVerdictIsSurfacedNotRetried) {
   options.max_retries = 5;
   SolveService service(options);
   ResponseSink sink;
-  ServeJob job(PigeonholeCyclicQuery(), shared);
+  ServeJob job(PigeonholeBacktrackingQuery(), shared);
   // Exhaust the exact stage by step budget, not wall-clock: a step limit
   // trips identically on a loaded or sanitized build, and the generous
   // timeout leaves sampling all the time it needs for its verdict.
@@ -592,7 +593,7 @@ TEST(SolveServiceTest, CancelledQueuedRequestNeverRuns) {
   options.queue_capacity = 4;
   SolveService service(options);
   ResponseSink sink;
-  ServeJob blocker(PigeonholeCyclicQuery(), hard_db);
+  ServeJob blocker(PigeonholeBacktrackingQuery(), hard_db);
   blocker.degrade_to_sampling = false;
   Result<uint64_t> blocker_id =
       service.Submit(std::move(blocker), sink.Callback());

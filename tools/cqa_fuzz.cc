@@ -30,12 +30,17 @@
 // — verdicts must be identical — and (b) asserts the epoch's memoized
 // value-connected component partition equals that of a from-scratch
 // reparse of the same facts, so an incremental mutation can never leave
-// stale component metadata behind. Exits non-zero and prints a reproducer
-// on the first violation.
+// stale component metadata behind. A matching phase (--matching-rounds)
+// draws random queries of the matching engine's class — q1 plus random
+// self-covering negated atoms, literals shuffled — and random databases:
+// the detector must accept each query, reject a near-miss that keys one
+// extra atom by y, and the matching verdict must equal backtracking's (and
+// auto dispatch must pick matching). Exits non-zero and prints a
+// reproducer on the first violation.
 //
 //   cqa_fuzz [--seed=N] [--rounds=N] [--dbs-per-query=N] [--parse-rounds=N]
 //            [--wire-rounds=N] [--cache-rounds=N] [--journal-rounds=N]
-//            [--cursor-rounds=N] [--parallel-rounds=N]
+//            [--cursor-rounds=N] [--parallel-rounds=N] [--matching-rounds=N]
 
 #include <algorithm>
 #include <cctype>
@@ -452,6 +457,36 @@ int CheckWireStack(const std::string& stream, size_t max_frame_bytes,
 
 }  // namespace
 
+// The query text of q1 = R(x | y), ¬S(y | x) plus 0–2 negated atoms keyed
+// by x over random {x, y} terms, literals in random order. With
+// `near_miss`, the last extra atom (one is forced) is keyed by y instead,
+// which takes the query out of the matching class.
+std::string MatchingClassQueryText(Rng* rng, bool near_miss) {
+  std::vector<std::string> literals = {"R(x | y)", "not S(y | x)"};
+  int extra = static_cast<int>(rng->Below(3));
+  if (near_miss && extra == 0) extra = 1;
+  for (int i = 0; i < extra; ++i) {
+    bool keyed_by_y = near_miss && i + 1 == extra;
+    std::string atom = "not N" + std::to_string(i) + "(";
+    atom += keyed_by_y ? "y" : "x";
+    int rest = static_cast<int>(rng->Below(3));  // arity 1..3
+    for (int t = 0; t < rest; ++t) {
+      atom += t == 0 ? " | " : ", ";
+      atom += rng->Chance(0.5) ? "x" : "y";
+    }
+    literals.push_back(atom + ")");
+  }
+  for (size_t i = literals.size(); i > 1; --i) {
+    std::swap(literals[i - 1], literals[rng->Below(i)]);
+  }
+  std::string text;
+  for (const std::string& l : literals) {
+    if (!text.empty()) text += ", ";
+    text += l;
+  }
+  return text;
+}
+
 int main(int argc, char** argv) {
   uint64_t seed = FlagOr(argc, argv, "--seed", 1);
   uint64_t rounds = FlagOr(argc, argv, "--rounds", 200);
@@ -462,6 +497,7 @@ int main(int argc, char** argv) {
   uint64_t journal_rounds = FlagOr(argc, argv, "--journal-rounds", 300);
   uint64_t cursor_rounds = FlagOr(argc, argv, "--cursor-rounds", 300);
   uint64_t parallel_rounds = FlagOr(argc, argv, "--parallel-rounds", 120);
+  uint64_t matching_rounds = FlagOr(argc, argv, "--matching-rounds", 200);
 
   // Phase 1: parser robustness under mutation and garbage.
   {
@@ -759,6 +795,43 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Phase 5: matching-engine parity on its widened class. Each round's
+  // query must be detected, its near-miss must not, and on a random
+  // database the matching verdict must equal backtracking's.
+  {
+    Rng mrng(seed ^ 0x3a7c1u);
+    RandomDbOptions mdopts;
+    mdopts.blocks_per_relation = 3;
+    mdopts.max_block_size = 3;
+    mdopts.domain_size = 4;
+    for (uint64_t round = 0; round < matching_rounds; ++round) {
+      Result<Query> q = ParseQuery(MatchingClassQueryText(&mrng, false));
+      Result<Query> near = ParseQuery(MatchingClassQueryText(&mrng, true));
+      if (!q.ok() || !near.ok()) {
+        std::printf("matching-class query failed to parse: %s\n",
+                    (q.ok() ? near : q).error().c_str());
+        return 1;
+      }
+      Database db = GenerateRandomDatabaseFor(*q, mdopts, &mrng);
+      if (DetectQ1Shape(*near).has_value()) {
+        return Reproducer(*near, db, "detector accepted a near-miss");
+      }
+      std::optional<bool> matched = IsCertainQ1ByMatching(*q, db);
+      if (!matched.has_value()) {
+        return Reproducer(*q, db, "detector rejected the matching class");
+      }
+      Result<bool> bt = IsCertainBacktracking(*q, db);
+      if (!bt.ok() || bt.value() != *matched) {
+        return Reproducer(*q, db, "matching vs backtracking");
+      }
+      Result<SolveReport> facade = SolveCertainty(*q, db);
+      if (!facade.ok() || facade->used != SolverMethod::kMatchingQ1 ||
+          facade->certain != *matched) {
+        return Reproducer(*q, db, "auto dispatch vs matching");
+      }
+    }
+  }
+
   Rng rng(seed);
   RandomQueryOptions qopts;
   RandomDbOptions dopts;
@@ -820,13 +893,15 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzz clean: %llu parse rounds, %llu wire rounds, %llu journal "
       "rounds, %llu cursor rounds, %llu cache rounds, %llu parallel rounds, "
-      "%llu rounds (%llu FO, %llu hard), %llu database checks\n",
+      "%llu matching rounds, %llu rounds (%llu FO, %llu hard), %llu "
+      "database checks\n",
       static_cast<unsigned long long>(parse_rounds),
       static_cast<unsigned long long>(wire_rounds),
       static_cast<unsigned long long>(journal_rounds),
       static_cast<unsigned long long>(cursor_rounds),
       static_cast<unsigned long long>(cache_rounds),
       static_cast<unsigned long long>(parallel_rounds),
+      static_cast<unsigned long long>(matching_rounds),
       static_cast<unsigned long long>(rounds),
       static_cast<unsigned long long>(fo_count),
       static_cast<unsigned long long>(hard_count),
