@@ -10,9 +10,9 @@
 namespace cqa {
 
 /// One bounded span of a certain-answer enumeration. The enumeration
-/// space is the cartesian product of the per-free-variable candidate
-/// lists (each sorted by value spelling), flattened to a single
-/// mixed-radix *position* in `[0, total]`. A chunk covers positions
+/// space is the candidate list of `CertainAnswerCandidates` (the projected
+/// join of the query's positive atoms, sorted by value spelling); a
+/// *position* in `[0, total]` indexes that list. A chunk covers positions
 /// `[start, next)` and carries exactly the certain answers found there,
 /// in the canonical (lexicographic) order — so concatenating chunks over
 /// adjacent spans reproduces the one-shot answer list byte for byte,
@@ -27,7 +27,7 @@ struct AnswerChunk {
   /// Resume point: the first position *not* scanned. `next == total`
   /// iff the enumeration is complete.
   uint64_t next = 0;
-  /// Total candidate positions (product of the candidate list sizes).
+  /// Total candidate positions (the length of the candidate list).
   uint64_t total = 0;
   /// Candidates actually decided by this chunk (== next - start).
   uint64_t scanned = 0;

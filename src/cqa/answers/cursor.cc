@@ -7,7 +7,7 @@ namespace cqa {
 
 namespace {
 
-constexpr char kMagic[] = "cqa1";
+constexpr char kMagic[] = "cqa2";
 constexpr size_t kMagicLen = 4;
 constexpr size_t kPayloadHex = 64;  // 4 x u64 as 16 hex digits each
 constexpr size_t kCrcHex = 8;

@@ -13,7 +13,7 @@ namespace cqa {
 
 /// A resumable answer-stream position, opaque to clients but verifiable
 /// by the server. The cursor binds three things: *where* the stream is
-/// (the mixed-radix candidate position), *what* it is enumerating (a
+/// (an index into the sorted candidate list), *what* it is enumerating (a
 /// hash of the alpha-canonical query plus the free-variable tuple
 /// order), and *which database epoch* the positions are meaningful for
 /// (the 128-bit content fingerprint — candidate lists are derived from
@@ -21,9 +21,12 @@ namespace cqa {
 /// over the payload rejects corrupted or truncated cursors before any
 /// field is interpreted.
 ///
-/// Wire spelling: `cqa1` + 64 lowercase hex digits (position, query
+/// Wire spelling: `cqa2` + 64 lowercase hex digits (position, query
 /// hash, fingerprint hi/lo — 16 each) + 8 hex digits of CRC32C over the
 /// preceding 68 characters. Fixed width, no separators: 76 bytes total.
+/// The version digit changes whenever positions come to index a
+/// different list: `cqa1` cursors indexed the product of per-variable
+/// columns, and fail to decode rather than resume at the wrong place.
 struct AnswerCursor {
   uint64_t position = 0;
   uint64_t query_hash = 0;

@@ -7,15 +7,6 @@
 
 namespace cqa {
 
-namespace {
-
-// Hard bound on the flattened candidate space. Positions are u64; keep a
-// wide safety margin below overflow so `start + scanned` arithmetic can
-// never wrap.
-constexpr uint64_t kMaxCandidateSpace = 1ull << 62;
-
-}  // namespace
-
 Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
                                          const std::vector<Symbol>& free_vars,
                                          const Database& db,
@@ -27,33 +18,14 @@ Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
                       "answer enumeration needs exact verdicts; sampling "
                       "cannot soundly include or exclude a candidate");
   }
-  Result<std::vector<std::vector<Value>>> lists =
-      CertainAnswerCandidates(q, free_vars, db);
-  if (!lists.ok()) return Out::Error(lists);
-
-  // Canonical order: each list sorted by value spelling, so the flat
-  // mixed-radix position (first variable most significant) enumerates
-  // tuples in exactly the lexicographic order `ComputeCertainAnswers`
-  // sorts into — and positions are stable across processes and restarts
-  // of the same database epoch.
-  std::vector<std::vector<Value>> candidates = std::move(lists.value());
-  for (std::vector<Value>& list : candidates) {
-    std::sort(list.begin(), list.end(), [](Value a, Value b) {
-      return a.name() < b.name();
-    });
-  }
-  uint64_t total = 1;
-  for (const std::vector<Value>& list : candidates) {
-    if (list.empty()) {
-      total = 0;
-      break;
-    }
-    if (total > kMaxCandidateSpace / list.size()) {
-      return Out::Error(ErrorCode::kUnsupported,
-                        "candidate space exceeds 2^62 positions");
-    }
-    total *= list.size();
-  }
+  // Position i is the i-th candidate in spelling order, so positions
+  // enumerate tuples in exactly the order `ComputeCertainAnswers` returns
+  // them, and are stable across processes and restarts of the same
+  // database epoch.
+  Result<std::vector<Tuple>> candidates =
+      CertainAnswerCandidates(q, free_vars, db, budget);
+  if (!candidates.ok()) return Out::Error(candidates);
+  const uint64_t total = candidates->size();
 
   AnswerChunk chunk;
   for (Symbol v : free_vars) chunk.free_vars.push_back(SymbolName(v));
@@ -69,17 +41,6 @@ Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
   if (options.start == total) {
     chunk.done = true;
     return chunk;
-  }
-
-  // Odometer over the sorted lists, seeded by decoding `start` as a
-  // mixed-radix numeral (first variable most significant).
-  std::vector<size_t> digit(candidates.size(), 0);
-  {
-    uint64_t rem = options.start;
-    for (size_t i = candidates.size(); i-- > 0;) {
-      digit[i] = static_cast<size_t>(rem % candidates[i].size());
-      rem /= candidates[i].size();
-    }
   }
 
   // The rewriting path builds the Lemma 6.1 formula once per chunk and
@@ -99,7 +60,6 @@ Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
   }
 
   const uint64_t max_answers = std::max<uint64_t>(1, options.max_chunk);
-  Tuple tuple(candidates.size());
   while (chunk.next < total) {
     if (budget != nullptr) {
       if (std::optional<ErrorCode> code = budget->CheckEvery(1)) {
@@ -113,9 +73,7 @@ Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
         break;
       }
     }
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      tuple[i] = candidates[i][digit[i]];
-    }
+    const Tuple& tuple = (*candidates)[chunk.next];
     bool certain = false;
     if (eval.has_value()) {
       Valuation env;
@@ -155,11 +113,6 @@ Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
     ++chunk.scanned;
     ++chunk.next;
     if (certain) chunk.answers.push_back(tuple);
-    // Advance the odometer (least-significant digit last).
-    for (size_t i = candidates.size(); i-- > 0;) {
-      if (++digit[i] < candidates[i].size()) break;
-      digit[i] = 0;
-    }
     if (chunk.answers.size() >= max_answers) break;
   }
   chunk.done = chunk.next == total;

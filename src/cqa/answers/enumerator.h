@@ -31,15 +31,17 @@ struct EnumerateOptions {
 
 /// Computes one chunk of the certain answers of `q` with `free_vars` on
 /// `db`, scanning candidate positions from `options.start` in the
-/// deterministic canonical order (per-variable candidate lists sorted by
-/// value spelling; tuples enumerated in lexicographic order). The chunk
-/// ends at `max_chunk` answers, at the end of the candidate space, or —
-/// partially — when `budget` trips after at least one candidate was
-/// decided (`AnswerChunk::exhausted`); a budget that trips before the
-/// first candidate fails typed instead. Fails `kUnsupported` when a free
-/// variable has no positive occurrence or the method cannot produce
-/// exact verdicts, and `kParse` when `start` lies beyond the candidate
-/// space (a cursor for some other epoch or query).
+/// deterministic canonical order: position i is the i-th tuple of
+/// `CertainAnswerCandidates` (the projected join of q's positive atoms,
+/// sorted by value spelling). The chunk ends at `max_chunk` answers, at
+/// the end of the candidate list, or — partially — when `budget` trips
+/// after at least one candidate was decided (`AnswerChunk::exhausted`); a
+/// budget that trips earlier, in the candidate join included, fails typed
+/// instead.
+/// Fails `kUnsupported` when a free variable has no positive occurrence or
+/// the method cannot produce exact verdicts, and `kParse` when q does not
+/// fit db's schema or `start` lies beyond the candidate list (a cursor for
+/// some other epoch or query).
 ///
 /// Determinism contract: for fixed (q, free_vars, db), concatenating the
 /// `answers` of chunks over adjacent `[start, next)` spans yields exactly

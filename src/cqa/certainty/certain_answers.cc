@@ -1,106 +1,86 @@
 #include "cqa/certainty/certain_answers.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "cqa/certainty/solver.h"
+#include "cqa/db/eval.h"
 #include "cqa/fo/eval.h"
 #include "cqa/rewriting/rewriter.h"
 
 namespace cqa {
 
-namespace {
-
-// Candidate values for one free variable: the values of some positive
-// column in which it occurs (every certain answer must embed a positive
-// atom into every repair, hence into db).
-Result<std::vector<Value>> CandidatesFor(const Query& q, Symbol v,
-                                         const Database& db) {
+Result<std::vector<Tuple>> CertainAnswerCandidates(
+    const Query& q, const std::vector<Symbol>& free_vars, const Database& db,
+    Budget* budget) {
+  using Out = Result<std::vector<Tuple>>;
+  Result<bool> fits = q.CheckAgainst(db.schema());
+  if (!fits.ok()) return Out::Error(fits);
+  std::vector<Literal> positive;
   for (const Literal& l : q.literals()) {
-    if (l.negated) continue;
-    for (int i = 0; i < l.atom.arity(); ++i) {
-      if (l.atom.term(i).is_variable() && l.atom.term(i).var() == v) {
-        std::vector<Value> out;
-        std::unordered_map<Value, bool, ValueHash> seen;
-        db.ForEachFact(l.atom.relation(), [&](const Tuple& t) {
-          if (seen.emplace(t[static_cast<size_t>(i)], true).second) {
-            out.push_back(t[static_cast<size_t>(i)]);
-          }
-          return true;
-        });
-        return out;
-      }
-    }
+    if (!l.negated) positive.push_back(l);
   }
-  return Result<std::vector<Value>>::Error(
-      ErrorCode::kUnsupported,
-      "free variable '" + SymbolName(v) +
-      "' does not occur in a non-negated atom");
-}
-
-void SortAnswers(std::vector<Tuple>* answers) {
-  std::sort(answers->begin(), answers->end(),
-            [](const Tuple& a, const Tuple& b) {
-              for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                if (a[i] != b[i]) return a[i].name() < b[i].name();
-              }
-              return a.size() < b.size();
-            });
-}
-
-// Enumerates the cartesian product of candidates, invoking `fn` per tuple.
-// Returns false if `fn` reported an error.
-bool ForEachCandidate(const std::vector<std::vector<Value>>& candidates,
-                      const std::function<bool(const Tuple&)>& fn) {
-  Tuple current(candidates.size());
-  std::function<bool(size_t)> rec = [&](size_t i) {
-    if (i == candidates.size()) return fn(current);
-    for (Value v : candidates[i]) {
-      current[i] = v;
-      if (!rec(i + 1)) return false;
-    }
-    return true;
-  };
-  return rec(0);
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<Value>>> CertainAnswerCandidates(
-    const Query& q, const std::vector<Symbol>& free_vars,
-    const Database& db) {
-  std::vector<std::vector<Value>> candidates;
+  Result<Query> q_plus = Query::Make(std::move(positive));
+  if (!q_plus.ok()) return Out::Error(q_plus);
+  const SymbolSet positive_vars = q_plus->PositiveVars();
   for (Symbol v : free_vars) {
-    Result<std::vector<Value>> c = CandidatesFor(q, v, db);
-    if (!c.ok()) return Result<std::vector<std::vector<Value>>>::Error(c);
-    candidates.push_back(std::move(c.value()));
+    if (!positive_vars.contains(v)) {
+      return Out::Error(ErrorCode::kUnsupported,
+                        "free variable '" + SymbolName(v) +
+                            "' does not occur in a non-negated atom");
+    }
   }
-  return candidates;
+
+  std::vector<Tuple> out;
+  std::unordered_set<Tuple, TupleHash> seen;
+  std::optional<ErrorCode> tripped;
+  uint64_t joined_tuples = 0;
+  Tuple tuple(free_vars.size());
+  ForEachWitness(*q_plus, db, {}, [&](const Valuation& theta) {
+    if (budget != nullptr && (tripped = budget->CheckEvery())) return false;
+    ++joined_tuples;
+    for (size_t i = 0; i < free_vars.size(); ++i) {
+      tuple[i] = theta.at(free_vars[i]);
+    }
+    if (seen.insert(tuple).second) out.push_back(tuple);
+    return true;
+  });
+  if (tripped.has_value()) {
+    return Out::Error(*tripped, "candidate join aborted after " +
+                                    std::to_string(joined_tuples) +
+                                    " join tuples: " +
+                                    Budget::Describe(*tripped));
+  }
+  std::sort(out.begin(), out.end(), [](const Tuple& a, const Tuple& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i]) return a[i].name() < b[i].name();
+    }
+    return false;
+  });
+  return out;
 }
 
 Result<CertainAnswers> ComputeCertainAnswers(
     const Query& q, const std::vector<Symbol>& free_vars, const Database& db,
     Budget* budget) {
-  Result<std::vector<std::vector<Value>>> candidates =
-      CertainAnswerCandidates(q, free_vars, db);
+  Result<std::vector<Tuple>> candidates =
+      CertainAnswerCandidates(q, free_vars, db, budget);
   if (!candidates.ok()) return Result<CertainAnswers>::Error(candidates);
 
   CertainAnswers out;
   out.free_vars = free_vars;
-  std::optional<ErrorCode> error_code;
-  std::string error;
   SolveOptions solve_options;
   solve_options.budget = budget;
   // A certain-answer *set* must be exact: a probably-certain candidate
   // could not soundly be included or excluded.
   solve_options.degrade_to_sampling = false;
-  ForEachCandidate(*candidates, [&](const Tuple& tuple) {
+  for (const Tuple& tuple : *candidates) {
     if (budget != nullptr) {
       if (std::optional<ErrorCode> code = budget->CheckEvery(1)) {
-        error_code = code;
-        error = "certain-answer enumeration aborted after " +
-                std::to_string(out.candidates) +
-                " candidates: " + Budget::Describe(*code);
-        return false;
+        return Result<CertainAnswers>::Error(
+            *code, "certain-answer enumeration aborted after " +
+                       std::to_string(out.candidates) +
+                       " candidates: " + Budget::Describe(*code));
       }
     }
     ++out.candidates;
@@ -109,18 +89,9 @@ Result<CertainAnswers> ComputeCertainAnswers(
       ground = ground.Substituted(free_vars[i], tuple[i]);
     }
     Result<SolveReport> report = SolveCertainty(ground, db, solve_options);
-    if (!report.ok()) {
-      error_code = report.code();
-      error = report.error();
-      return false;
-    }
+    if (!report.ok()) return Result<CertainAnswers>::Error(report);
     if (report->certain) out.answers.push_back(tuple);
-    return true;
-  });
-  if (error_code.has_value()) {
-    return Result<CertainAnswers>::Error(*error_code, error);
   }
-  SortAnswers(&out.answers);
   return out;
 }
 
@@ -135,36 +106,25 @@ Result<FoPtr> RewriteCertainWithFree(const Query& q,
 Result<CertainAnswers> CertainAnswersByRewriting(
     const Query& q, const std::vector<Symbol>& free_vars, const Database& db,
     Budget* budget) {
+  Result<std::vector<Tuple>> candidates =
+      CertainAnswerCandidates(q, free_vars, db, budget);
+  if (!candidates.ok()) return Result<CertainAnswers>::Error(candidates);
   Result<FoPtr> formula = RewriteCertainWithFree(q, free_vars);
   if (!formula.ok()) return Result<CertainAnswers>::Error(formula);
-  Result<std::vector<std::vector<Value>>> candidates =
-      CertainAnswerCandidates(q, free_vars, db);
-  if (!candidates.ok()) return Result<CertainAnswers>::Error(candidates);
 
   CertainAnswers out;
   out.free_vars = free_vars;
   FoEvaluator eval(db);
-  std::optional<ErrorCode> error_code;
-  std::string error;
-  ForEachCandidate(*candidates, [&](const Tuple& tuple) {
+  for (const Tuple& tuple : *candidates) {
     ++out.candidates;
     Valuation env;
     for (size_t i = 0; i < free_vars.size(); ++i) {
       env.emplace(free_vars[i], tuple[i]);
     }
     Result<bool> holds = eval.EvalGoverned(formula.value(), env, budget);
-    if (!holds.ok()) {
-      error_code = holds.code();
-      error = holds.error();
-      return false;
-    }
+    if (!holds.ok()) return Result<CertainAnswers>::Error(holds);
     if (holds.value()) out.answers.push_back(tuple);
-    return true;
-  });
-  if (error_code.has_value()) {
-    return Result<CertainAnswers>::Error(*error_code, error);
   }
-  SortAnswers(&out.answers);
   return out;
 }
 

@@ -211,6 +211,8 @@ Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
 
 Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
                                    const SolveOptions& options) {
+  Result<bool> fits = q.CheckAgainst(db.schema());
+  if (!fits.ok()) return Result<SolveReport>::Error(fits);
   SolveReport report;
   std::string warm_key;
   if (options.warm != nullptr) {

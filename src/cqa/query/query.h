@@ -109,6 +109,13 @@ class Query {
   /// Registers all relations of this query into `schema`.
   Result<bool> RegisterInto(Schema* schema) const;
 
+  /// Checks every atom against `schema`: fails `kParse`, naming the
+  /// relation and both signatures, if an atom's relation is registered
+  /// there with a different arity or key length. Relations absent from
+  /// `schema` pass (they hold no facts). The engines index facts by the
+  /// query's positions, so this runs before any of them touch a database.
+  Result<bool> CheckAgainst(const Schema& schema) const;
+
   std::string ToString() const;
 
   /// A canonical serialisation usable as a memoisation key (independent of

@@ -276,7 +276,7 @@ TEST(AnswersServiceTest, CursorForAnotherQueryOrGarbageFailsParse) {
 
   // Hostile bytes.
   Result<uint64_t> garbage = service.Submit(
-      AnswersJob(q, db, 4, "cqa1not-a-cursor"),
+      AnswersJob(q, db, 4, "cqa2not-a-cursor"),
       [](const ServeResponse&) { ADD_FAILURE() << "must fail at Submit"; });
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.code(), ErrorCode::kParse);

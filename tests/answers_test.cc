@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cqa/answers/cursor.h"
 #include "cqa/answers/enumerator.h"
+#include "cqa/base/crc32c.h"
 #include "cqa/base/rng.h"
 #include "cqa/certainty/certain_answers.h"
 #include "cqa/gen/random_db.h"
@@ -101,6 +103,34 @@ TEST(AnswerEnumeratorTest, MultiVariableCanonicalOrder) {
   std::vector<Tuple> swapped = Drain(q, {y, x}, db, 2);
   ASSERT_EQ(swapped.size(), 4u);
   EXPECT_EQ(swapped[0][0].name(), "v1");
+}
+
+// The two-variable shape R(x | y), not S(y | x) on n R-blocks of two
+// facts plus n S facts: the join has 2n tuples, while the product of the
+// x and y columns has 2n² (n x-values times 2n y-values).
+TEST(AnswerEnumeratorTest, TwoVariableShapeChecksLinearCandidates) {
+  constexpr int kBlocks = 300;
+  std::string facts;
+  for (int i = 0; i < kBlocks; ++i) {
+    const std::string n = std::to_string(i);
+    facts += "R(a" + n + " | b" + n + "), R(a" + n + " | c" + n + "), S(b" +
+             n + " | a" + n + ")\n";
+  }
+  Database db = Db(facts.c_str());
+  Query q = Q("R(x | y), not S(y | x)");
+  const std::vector<Symbol> xy = {InternSymbol("x"), InternSymbol("y")};
+  Result<CertainAnswers> one_shot = ComputeCertainAnswers(q, xy, db);
+  ASSERT_TRUE(one_shot.ok()) << one_shot.error();
+  EXPECT_EQ(one_shot->candidates, 2u * kBlocks);
+  // Neither fact of a two-fact block is in every repair.
+  EXPECT_TRUE(one_shot->answers.empty());
+  Result<CertainAnswers> rewritten = CertainAnswersByRewriting(q, xy, db);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error();
+  EXPECT_EQ(rewritten->candidates, 2u * kBlocks);
+  Result<AnswerChunk> chunk = EnumerateAnswerChunk(q, xy, db, {});
+  ASSERT_TRUE(chunk.ok()) << chunk.error();
+  EXPECT_EQ(chunk->total, 2u * kBlocks);
+  EXPECT_TRUE(chunk->done);
 }
 
 TEST(AnswerEnumeratorTest, StartBeyondSpaceIsTyped) {
@@ -223,19 +253,38 @@ TEST(AnswerCursorTest, MalformedSpellingsAreTypedNotFatal) {
   std::string good = EncodeAnswerCursor(cursor);
   const std::string hostile[] = {
       "",
-      "cqa1",
+      "cqa2",
       good.substr(0, 75),
       good + "0",
       "XXXX" + good.substr(4),
       std::string(76, 'g'),
       std::string(76, '\0'),
-      "cqa1" + std::string(72, 'z'),
+      "cqa2" + std::string(72, 'z'),
   };
   for (const std::string& text : hostile) {
     Result<AnswerCursor> back = DecodeAnswerCursor(text);
     ASSERT_FALSE(back.ok());
     EXPECT_EQ(back.code(), ErrorCode::kParse);
   }
+}
+
+// A cursor minted before positions indexed the join list: well formed,
+// checksum intact, but its position means a place in another list. It
+// must fail typed rather than resume there.
+TEST(AnswerCursorTest, VersionOneCursorIsRefused) {
+  AnswerCursor cursor;
+  cursor.position = 3;
+  cursor.query_hash = 0x0123456789abcdefull;
+  std::string text = "cqa1" + EncodeAnswerCursor(cursor).substr(4, 64);
+  uint32_t crc = Crc32c(text.data(), text.size());
+  static const char kDigits[] = "0123456789abcdef";
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    text.push_back(kDigits[(crc >> shift) & 0xf]);
+  }
+  ASSERT_EQ(text.size(), 76u);
+  Result<AnswerCursor> back = DecodeAnswerCursor(text);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.code(), ErrorCode::kParse);
 }
 
 TEST(AnswerCursorTest, QueryHashSeparatesQueriesAndFreeOrders) {
@@ -299,6 +348,130 @@ TEST(AnswerDifferentialTest, SolverAgreesWithRewritingOnRandomInstances) {
   }
   // The generator parameters must actually exercise the rewriting class.
   EXPECT_GE(compared, 100) << "differential corpus too small";
+}
+
+// The candidate list before the positive join: each free variable ranges
+// over the values of the first positive column it occurs in, and the
+// candidates are the Cartesian product of those lists. It is a superset
+// of the join, so deciding every product tuple finds every certain
+// answer; kept here as the oracle for the join-based list.
+std::vector<Tuple> ProductOfColumns(const Query& q,
+                                    const std::vector<Symbol>& frees,
+                                    const Database& db) {
+  std::vector<Tuple> product(1);  // the product of no lists: one tuple
+  for (Symbol v : frees) {
+    std::vector<Value> column;
+    bool found = false;
+    for (const Literal& l : q.literals()) {
+      if (l.negated) continue;
+      for (int i = 0; i < l.atom.arity() && !found; ++i) {
+        if (!l.atom.term(i).is_variable() || l.atom.term(i).var() != v) {
+          continue;
+        }
+        found = true;
+        std::unordered_set<Value, ValueHash> seen;
+        db.ForEachFact(l.atom.relation(), [&](const Tuple& t) {
+          Value value = t[static_cast<size_t>(i)];
+          if (seen.insert(value).second) column.push_back(value);
+          return true;
+        });
+      }
+      if (found) break;
+    }
+    std::vector<Tuple> longer;
+    for (const Tuple& prefix : product) {
+      for (Value value : column) {
+        longer.push_back(prefix);
+        longer.back().push_back(value);
+      }
+    }
+    product = std::move(longer);
+  }
+  return product;
+}
+
+bool SpellingLess(const Tuple& a, const Tuple& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return a[i].name() < b[i].name();
+  }
+  return false;
+}
+
+// Differential: on random queries with two or three free variables, the
+// answers from the join candidates equal those found by solving every
+// tuple of the column product with the naive repair enumerator, and the
+// chunked enumerator tiles that list at every chunk size.
+TEST(AnswerDifferentialTest, JoinCandidatesMatchColumnProductOracle) {
+  Rng rng(20'261'019);
+  RandomQueryOptions qopts;
+  qopts.min_positive = 2;
+  qopts.max_positive = 3;
+  qopts.max_negative = 1;
+  qopts.max_arity = 2;
+  qopts.num_vars = 4;
+  RandomDbOptions dopts;
+  dopts.blocks_per_relation = 3;
+  dopts.max_block_size = 2;
+  dopts.domain_size = 3;
+  int compared = 0, joins = 0, pruned = 0;
+  for (int trial = 0; trial < 400 && compared < 150; ++trial) {
+    Query q = GenerateRandomQuery(qopts, &rng);
+    std::vector<Symbol> frees = q.PositiveVars().items();
+    if (frees.size() < 2) continue;
+    // Keep two or three free variables, in a random order.
+    for (size_t i = frees.size(); i-- > 1;) {
+      std::swap(frees[i], frees[rng.Below(i + 1)]);
+    }
+    frees.resize(std::min<size_t>(frees.size(), 2 + rng.Below(2)));
+    Database db = GenerateRandomDatabaseFor(q, dopts, &rng);
+
+    std::vector<Tuple> product = ProductOfColumns(q, frees, db);
+    std::vector<Tuple> expected;
+    for (const Tuple& tuple : product) {
+      Query ground = q;
+      for (size_t i = 0; i < frees.size(); ++i) {
+        ground = ground.Substituted(frees[i], tuple[i]);
+      }
+      Result<SolveReport> r = SolveCertainty(ground, db, SolverMethod::kNaive);
+      ASSERT_TRUE(r.ok()) << r.error();
+      if (r->certain) expected.push_back(tuple);
+    }
+    std::sort(expected.begin(), expected.end(), SpellingLess);
+
+    Result<std::vector<Tuple>> candidates =
+        CertainAnswerCandidates(q, frees, db);
+    ASSERT_TRUE(candidates.ok()) << candidates.error();
+    ASSERT_TRUE(std::is_sorted(candidates->begin(), candidates->end(),
+                               SpellingLess));
+    for (const Tuple& c : *candidates) {
+      ASSERT_NE(std::find(product.begin(), product.end(), c), product.end())
+          << "join tuple outside the column product";
+    }
+    if (candidates->size() < product.size()) ++pruned;
+    Result<CertainAnswers> one_shot = ComputeCertainAnswers(q, frees, db);
+    ASSERT_TRUE(one_shot.ok()) << one_shot.error();
+    EXPECT_EQ(one_shot->candidates, candidates->size());
+    ASSERT_EQ(one_shot->answers, expected) << q.ToString() << "\n"
+                                           << db.ToString();
+    for (uint64_t chunk_size : {1u, 2u, 5u, 64u}) {
+      EXPECT_EQ(Drain(q, frees, db, chunk_size), expected)
+          << "chunk size " << chunk_size << ", " << q.ToString() << "\n"
+          << db.ToString();
+    }
+    // Some variable shared by two positive atoms: the list is a real join.
+    SymbolSet seen;
+    bool joined = false;
+    for (size_t i : q.PositiveIndices()) {
+      SymbolSet vars = q.atom(i).Vars(q.reified());
+      if (vars.Intersects(seen)) joined = true;
+      seen.UnionWith(vars);
+    }
+    if (joined) ++joins;
+    ++compared;
+  }
+  EXPECT_GE(compared, 100) << "differential corpus too small";
+  EXPECT_GE(joins, 30) << "too few queries join their positive atoms";
+  EXPECT_GE(pruned, 30) << "the join never pruned the product";
 }
 
 }  // namespace

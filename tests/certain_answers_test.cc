@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cqa/answers/enumerator.h"
 #include "cqa/certainty/certain_answers.h"
 #include "cqa/certainty/naive.h"
 #include "cqa/gen/poll.h"
@@ -105,6 +106,19 @@ TEST(CertainAnswersTest, TwoFreeVariables) {
             (Tuple{Value::Of("ann"), Value::Of("rome")}));
 }
 
+// A free variable listed twice names one value in both columns: the
+// answers of q(x, x) are the diagonal pairs, never (a, c).
+TEST(CertainAnswersTest, RepeatedFreeVariableProjectsTheDiagonal) {
+  Query q = Q("R(x | y)");
+  Database db = Db("R(a | b), R(c | d), R(c | e)");
+  Symbol x = InternSymbol("x");
+  Result<CertainAnswers> answers = ComputeCertainAnswers(q, {x, x}, db);
+  ASSERT_TRUE(answers.ok()) << answers.error();
+  EXPECT_EQ(answers->answers,
+            (std::vector<Tuple>{{Value::Of("a"), Value::Of("a")},
+                                {Value::Of("c"), Value::Of("c")}}));
+}
+
 TEST(CertainAnswersTest, FreeVariableWithoutPositiveOccurrenceFails) {
   Query q = Q("P(x | y), not N(x | y)");
   Schema s;
@@ -112,6 +126,28 @@ TEST(CertainAnswersTest, FreeVariableWithoutPositiveOccurrenceFails) {
   s.AddRelationOrDie("N", 2, 1);
   Database db(s);
   EXPECT_FALSE(ComputeCertainAnswers(q, {InternSymbol("zzz")}, db).ok());
+}
+
+// The candidate join reads the database at the query's positions, so a
+// signature mismatch must fail typed on every answers entry point before
+// the join runs.
+TEST(CertainAnswersTest, SignatureMismatchFailsTypedOnEveryEntryPoint) {
+  Query q = Q("R(x | y), not S(y | x)");
+  Database db = Db("R(a), S(b | a), R(c)");
+  const std::vector<Symbol> x = {InternSymbol("x")};
+  Result<CertainAnswers> solved = ComputeCertainAnswers(q, x, db);
+  ASSERT_FALSE(solved.ok());
+  EXPECT_EQ(solved.code(), ErrorCode::kParse) << solved.error();
+  Result<CertainAnswers> rewritten = CertainAnswersByRewriting(q, x, db);
+  ASSERT_FALSE(rewritten.ok());
+  EXPECT_EQ(rewritten.code(), ErrorCode::kParse) << rewritten.error();
+  for (SolverMethod m : {SolverMethod::kAuto, SolverMethod::kRewriting}) {
+    EnumerateOptions opts;
+    opts.method = m;
+    Result<AnswerChunk> chunk = EnumerateAnswerChunk(q, x, db, opts);
+    ASSERT_FALSE(chunk.ok());
+    EXPECT_EQ(chunk.code(), ErrorCode::kParse) << chunk.error();
+  }
 }
 
 TEST(CertainAnswersTest, RewritingWithFreeRejectsHardQuery) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "cqa/answers/enumerator.h"
 #include "cqa/attack/classification.h"
 #include "cqa/base/budget.h"
 #include "cqa/certainty/backtracking.h"
@@ -352,6 +353,56 @@ TEST(GovernorTest, FaultInjectionCertainAnswers) {
       Database::FromText("P(a | b)\nN(c | d)").value(), &b2);
   ASSERT_FALSE(rw.ok());
   EXPECT_EQ(rw.code(), ErrorCode::kBudgetExhausted);
+}
+
+// The candidate join probes the budget once per join tuple, so a large
+// join trips a step limit, a deadline or an injected fault inside the join
+// itself, before any candidate is decided, and every answers entry point
+// fails typed rather than returning a partial answer set.
+TEST(GovernorTest, BudgetTripsInsideTheCandidateJoin) {
+  // R(k_i | v_{i mod 5}) for 200 keys, S(v_j | w_l) for 5 x 20 facts: the
+  // join of R(x | y) and S(y | z) has 200 * 20 = 4000 tuples.
+  std::string facts;
+  for (int i = 0; i < 200; ++i) {
+    facts += "R(k" + std::to_string(i) + " | v" + std::to_string(i % 5) +
+             ")\n";
+  }
+  for (int j = 0; j < 5; ++j) {
+    for (int l = 0; l < 20; ++l) {
+      facts += "S(v" + std::to_string(j) + " | w" + std::to_string(l) + ")\n";
+    }
+  }
+  Result<Database> db = Database::FromText(facts);
+  ASSERT_TRUE(db.ok()) << db.error();
+  Query q = Q("R(x | y), S(y | z), not T(x | z)");
+  const std::vector<Symbol> frees = {InternSymbol("x"), InternSymbol("z")};
+
+  Result<std::vector<Tuple>> all = CertainAnswerCandidates(q, frees, *db);
+  ASSERT_TRUE(all.ok()) << all.error();
+  ASSERT_EQ(all->size(), 4000u);
+
+  Budget injected;
+  injected.fail_after_probes = 1000;
+  Result<CertainAnswers> r = ComputeCertainAnswers(q, frees, *db, &injected);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), ErrorCode::kBudgetExhausted);
+  EXPECT_NE(r.error().find("candidate join"), std::string::npos) << r.error();
+  EXPECT_EQ(injected.steps(), 1000u) << "the join ran past the trip";
+
+  Budget limited;
+  limited.max_steps = 100;
+  Result<CertainAnswers> rw =
+      CertainAnswersByRewriting(q, frees, *db, &limited);
+  ASSERT_FALSE(rw.ok());
+  EXPECT_EQ(rw.code(), ErrorCode::kBudgetExhausted);
+  EXPECT_EQ(limited.steps(), 101u);
+
+  Budget late;
+  late.deadline = Clock::now() - milliseconds(1);
+  Result<AnswerChunk> chunk = EnumerateAnswerChunk(q, frees, *db, {}, &late);
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_EQ(chunk.code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(late.steps(), 1u);
 }
 
 TEST(GovernorTest, FaultInjectionSolveCascadeEndsExhausted) {

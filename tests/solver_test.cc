@@ -75,6 +75,46 @@ TEST(SolverTest, MethodErrorsAreSurfaced) {
       SolveCertainty(Q("R(x | y)"), db, SolverMethod::kMatchingQ1).ok());
 }
 
+// A query atom whose relation the database holds at another signature
+// fails typed under every method (sequential and decomposed) before any
+// engine reads a tuple: no engine may match R(x | y) against unary facts.
+TEST(SolverTest, SignatureMismatchFailsTypedUnderEveryMethod) {
+  Result<Database> db = Database::FromText("R(a), S(b | a), R(c)");
+  ASSERT_TRUE(db.ok()) << db.error();
+  const SolverMethod methods[] = {
+      SolverMethod::kAuto,         SolverMethod::kRewriting,
+      SolverMethod::kAlgorithm1,   SolverMethod::kBacktracking,
+      SolverMethod::kNaive,        SolverMethod::kMatchingQ1,
+      SolverMethod::kSampling,
+  };
+  for (SolverMethod m : methods) {
+    for (int parallelism : {1, 4}) {
+      SolveOptions options;
+      options.method = m;
+      options.parallelism = parallelism;
+      Result<SolveReport> r =
+          SolveCertainty(Q("R(x | y), not S(y | x)"), *db, options);
+      ASSERT_FALSE(r.ok()) << ToString(m) << " answered "
+                           << ToString(r->verdict);
+      EXPECT_EQ(r.code(), ErrorCode::kParse) << ToString(m);
+      EXPECT_NE(r.error().find("'R' is R[2,1] in the query but R[1,1]"),
+                std::string::npos)
+          << r.error();
+    }
+    // Equal arity, different key length.
+    Result<SolveReport> key = SolveCertainty(Q("S(y, x)"), *db, m);
+    ASSERT_FALSE(key.ok()) << ToString(m);
+    EXPECT_EQ(key.code(), ErrorCode::kParse) << ToString(m);
+    EXPECT_NE(key.error().find("S[2,2] in the query but S[2,1]"),
+              std::string::npos)
+        << key.error();
+  }
+  // A relation the database does not hold is not a mismatch: it is empty.
+  Result<SolveReport> absent = SolveCertainty(Q("R(x), not T(x | x)"), *db);
+  ASSERT_TRUE(absent.ok()) << absent.error();
+  EXPECT_TRUE(absent->certain);
+}
+
 TEST(SolverTest, MethodNames) {
   EXPECT_EQ(ToString(SolverMethod::kAuto), "auto");
   EXPECT_EQ(ToString(SolverMethod::kRewriting), "fo-rewriting");

@@ -709,7 +709,7 @@ answers_smoke() {
       --chunks=3 --cursor-file="$work/cursor" \
       > "$work/part1.out" 2>/dev/null
   [ -s "$work/cursor" ] || { echo "no cursor persisted"; exit 1; }
-  grep -q '^cqa1' "$work/cursor"
+  grep -q '^cqa2' "$work/cursor"
   "$cli" client "$addr" --answers="$query" --free=x --max-chunk=7 \
       --resume --cursor-file="$work/cursor" \
       > "$work/part2.out" 2>/dev/null

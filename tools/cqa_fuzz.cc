@@ -220,7 +220,7 @@ std::vector<std::string> WireCorpus() {
       R"js("max_chunk":7,"db":"replica","timeout_ms":50,"max_steps":100,)js"
       R"js("method":"rewriting","cache":"bypass"})js",
       R"js({"type":"answers","id":33,"query":"R(x | y)","free":["x"],)js"
-      R"js("cursor":"cqa1zzzz-not-a-cursor"})js",
+      R"js("cursor":"cqa2zzzz-not-a-cursor"})js",
       R"js({"type":"answers","id":34,"query":"R(x | y)"})js",
       R"js({"type":"answers","id":35,"query":"R(x | y)","free":[]})js",
       R"js({"type":"answers","id":36,"query":"R(x | y)","free":[42]})js",
@@ -636,7 +636,7 @@ int main(int argc, char** argv) {
           hostile[crng.Below(4)] = 'x';
           break;
         default:  // pure garbage, sometimes magic-prefixed
-          hostile = (crng.Chance(0.5) ? "cqa1" : "") + Garbage(&crng);
+          hostile = (crng.Chance(0.5) ? "cqa2" : "") + Garbage(&crng);
           break;
       }
       int rc = CheckCursorBytes(hostile);
