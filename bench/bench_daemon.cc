@@ -20,9 +20,10 @@
 //       shard (sharded, this codebase) or on the adversary's (shared, the
 //       single-pool architecture the registry replaces). Reports the
 //       victim's latency percentiles against a solo baseline.
-//   D6. Live updates: apply_delta wire latency as the batch size grows
-//       (copy-on-write epochs + O(delta) index maintenance, so cost tracks
-//       the delta, not the database), footprint-scoped cache invalidation
+//   D6. Live updates: apply_delta cost as the batch and the database grow
+//       (epochs share untouched relations copy-on-write, facts and block
+//       index alike, so cost tracks the touched relations, not the whole
+//       database), footprint-scoped cache invalidation
 //       (warm hits on untouched queries survive a delta to a disjoint
 //       relation), and crash-recovery time as the replayed journal grows.
 //   D7. Durability and replication: recovery time with and without epoch
@@ -431,46 +432,84 @@ std::string ApplyDeltaFrame(uint64_t id, const std::string& delta_id,
 }
 
 void TableLiveUpdate() {
-  // (a) apply latency vs delta size: fresh Lives facts, each a new key, so
-  // every op extends the block index. Cost should track the batch size.
+  // (a) apply latency vs delta size and database size: fresh Lives facts,
+  // each a new key, so every op extends the block index. Two measurements
+  // per row: the apply_delta wire round trip, and in process the two costs
+  // a delta holds the shard lock for — ApplyDeltaToDatabase, and freeing
+  // the epoch it replaces. Epochs share every relation a delta leaves
+  // alone, so both track the touched relation (Lives), not the database.
   std::printf("D6. live updates over the wire:\n");
-  std::printf("(a) apply_delta latency vs batch size, 20 applies each:\n");
-  std::printf("%-8s %-10s %-10s %-10s\n", "ops", "p50_us", "p99_us",
-              "us_per_op(p50)");
-  for (int batch : {1, 16, 256, 4096}) {
-    DaemonOptions options;
-    options.service.workers = 2;
-    SolveDaemon daemon(PollDb(40, 17), options);
-    if (!daemon.Start().ok()) return;
-    NetClient client;
-    if (!client.Connect("127.0.0.1", daemon.port(), kIo).ok()) return;
-    std::vector<double> us;
-    uint64_t id = 0;
-    int seq = 0;
-    for (int round = 0; round < 20; ++round) {
-      std::vector<DeltaOp> ops;
-      ops.reserve(static_cast<size_t>(batch));
-      for (int k = 0; k < batch; ++k) {
-        DeltaOp op;
-        op.insert = true;
-        op.relation = "Lives";
-        op.values = {"bench_p" + std::to_string(++seq),
-                     "bench_t" + std::to_string(seq % 7)};
-        ops.push_back(std::move(op));
-      }
-      std::string frame =
-          ApplyDeltaFrame(++id, "bench-" + std::to_string(round), ops);
-      us.push_back(benchutil::TimeUs([&] {
-        (void)client.SendFrame(frame, kIo);
-        (void)client.ReadResponse(kIo);
-      }));
+  std::printf("(a) apply_delta cost vs batch size and database size, 20 "
+              "applies each:\n");
+  std::printf("%-8s %-6s %-8s %-10s %-10s %-14s %-10s %-10s\n", "persons",
+              "ops", "facts", "p50_us", "p99_us", "us_per_op(p50)",
+              "apply_us", "free_us");
+  auto delta_ops = [](int batch, int* seq) {
+    std::vector<DeltaOp> ops;
+    ops.reserve(static_cast<size_t>(batch));
+    for (int k = 0; k < batch; ++k) {
+      DeltaOp op;
+      op.insert = true;
+      op.relation = "Lives";
+      op.values = {"bench_p" + std::to_string(++*seq),
+                   "bench_t" + std::to_string(*seq % 7)};
+      ops.push_back(std::move(op));
     }
-    uint64_t p50 = Percentile(&us, 0.50);
-    std::printf("%-8d %-10llu %-10llu %.2f\n", batch,
-                static_cast<unsigned long long>(p50),
-                static_cast<unsigned long long>(Percentile(&us, 0.99)),
-                static_cast<double>(p50) / batch);
-    (void)daemon.Shutdown(milliseconds(5'000));
+    return ops;
+  };
+  for (int persons : {40, 2000, 16000}) {
+    const std::shared_ptr<const Database> base = PollDb(persons, 17);
+    const std::vector<int> batches = persons == 40
+                                         ? std::vector<int>{1, 8, 16, 256, 4096}
+                                         : std::vector<int>{1, 8, 16};
+    for (int batch : batches) {
+      DaemonOptions options;
+      options.service.workers = 2;
+      SolveDaemon daemon(base, options);
+      if (!daemon.Start().ok()) return;
+      NetClient client;
+      if (!client.Connect("127.0.0.1", daemon.port(), kIo).ok()) return;
+      std::vector<double> us;
+      uint64_t id = 0;
+      int seq = 0;
+      for (int round = 0; round < 20; ++round) {
+        std::string frame = ApplyDeltaFrame(
+            ++id, "bench-" + std::to_string(round), delta_ops(batch, &seq));
+        us.push_back(benchutil::TimeUs([&] {
+          (void)client.SendFrame(frame, kIo);
+          (void)client.ReadResponse(kIo);
+        }));
+      }
+      (void)daemon.Shutdown(milliseconds(5'000));
+
+      std::vector<double> apply_us;
+      std::vector<double> free_us;
+      std::shared_ptr<const Database> epoch =
+          std::make_shared<const Database>(*base);
+      seq = 0;
+      for (int round = 0; round < 20; ++round) {
+        FactDelta delta;
+        delta.id = "local-" + std::to_string(round);
+        delta.ops = delta_ops(batch, &seq);
+        std::shared_ptr<const Database> next;
+        apply_us.push_back(benchutil::TimeUs([&] {
+          Result<DeltaApplyOutcome> out = ApplyDeltaToDatabase(*epoch, delta);
+          if (out.ok()) next = out->db;
+        }));
+        if (next == nullptr) return;
+        // The only reference to the old epoch drops here.
+        free_us.push_back(
+            benchutil::TimeUs([&] { epoch = std::move(next); }));
+      }
+      uint64_t p50 = Percentile(&us, 0.50);
+      std::printf("%-8d %-6d %-8zu %-10llu %-10llu %-14.2f %-10llu %-10llu\n",
+                  persons, batch, base->NumFacts(),
+                  static_cast<unsigned long long>(p50),
+                  static_cast<unsigned long long>(Percentile(&us, 0.99)),
+                  static_cast<double>(p50) / batch,
+                  static_cast<unsigned long long>(Percentile(&apply_us, 0.50)),
+                  static_cast<unsigned long long>(Percentile(&free_us, 0.50)));
+    }
   }
   std::printf("\n");
 

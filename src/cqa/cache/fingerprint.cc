@@ -4,9 +4,9 @@ namespace cqa {
 
 DbFingerprint FingerprintDatabase(const Database& db) {
   // The canonical hashing (per-fact digests folded through the
-  // order-independent multiset combine) lives in `Database::ContentDigest`,
-  // which memoizes it per instance — repeated lookups against an unchanged
-  // database never rehash the facts.
+  // order-independent multiset combine) lives in `Database`, which keeps
+  // the accumulator current on every insert and delete — reading it never
+  // rehashes the facts.
   auto [hi, lo] = db.ContentDigest();
   DbFingerprint fp;
   fp.hi = hi;

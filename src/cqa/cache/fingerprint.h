@@ -65,10 +65,9 @@ struct DbFingerprint {
 /// Fingerprints `db` over its fact multiset: each fact hashes independently
 /// (salted with its relation's name/arity/key length) and the digests fold
 /// through the order-independent `SetHash128` combine. Insertion order,
-/// interner state, and process never matter — and a delta updates the
-/// digest in O(delta) (see `Database::AddFactIncremental`), which is what
-/// keeps live-updated epochs cheap to re-fingerprint. O(n) on first call
-/// per instance; memoized after that.
+/// interner state, and process never matter — and each insert or delete
+/// updates the digest in O(1) (see `Database::ContentDigest`), which is
+/// what keeps live-updated epochs cheap to re-fingerprint. O(1).
 DbFingerprint FingerprintDatabase(const Database& db);
 
 struct DbFingerprintHash {

@@ -18,10 +18,8 @@ struct Decisions {
   std::vector<int> chosen_;
 
   const Tuple& ChosenFact(int b) const {
-    const Database::Block& block = db->blocks()[static_cast<size_t>(b)];
-    int fact_idx =
-        block.fact_indices[static_cast<size_t>(chosen_[static_cast<size_t>(b)])];
-    return db->FactsOf(block.relation)[static_cast<size_t>(fact_idx)];
+    return db->BlockFact(
+        b, static_cast<size_t>(chosen_[static_cast<size_t>(b)]));
   }
 };
 
@@ -39,9 +37,8 @@ class PessimisticView : public FactView {
 
   void ForEachFact(Symbol relation,
                    const std::function<bool(const Tuple&)>& fn) const override {
-    const auto& blocks = d_->db->blocks();
     for (int b : *relevant_) {
-      if (blocks[static_cast<size_t>(b)].relation != relation) continue;
+      if (d_->db->block(b).relation != relation) continue;
       if (d_->chosen_[static_cast<size_t>(b)] < 0) continue;
       if (!fn(d_->ChosenFact(b))) return;
     }
@@ -143,8 +140,7 @@ struct Searcher {
     if (early_accept && !Satisfies(*q_positive, *optimistic)) return true;
     if (depth == blocks->size()) return true;  // a falsifying repair
     int b = (*blocks)[depth];
-    size_t width =
-        decisions->db->blocks()[static_cast<size_t>(b)].size();
+    size_t width = decisions->db->block(b).size();
     for (size_t c = 0; c < width; ++c) {
       decisions->chosen_[static_cast<size_t>(b)] = static_cast<int>(c);
       bool found = ExistsFalsifier(depth + 1);
@@ -172,19 +168,19 @@ Result<BacktrackingReport> SolveBacktracking(const Query& q,
   std::set<Symbol> relations;
   for (const Literal& l : q.literals()) relations.insert(l.atom.relation());
   std::vector<int> relevant;
-  const auto& blocks = db.blocks();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (relations.count(blocks[b].relation) > 0) {
-      relevant.push_back(static_cast<int>(b));
-    }
+  for (const RelationSchema& rs : db.schema().relations()) {
+    if (relations.count(rs.name) == 0) continue;
+    const int first = db.FirstBlockId(rs.name);
+    const int n = static_cast<int>(db.BlocksOf(rs.name).size());
+    for (int i = 0; i < n; ++i) relevant.push_back(first + i);
   }
   // Key-major ordering: blocks whose keys share values end up adjacent, so
   // the certainly-satisfied prune can fire after a handful of decisions
   // instead of after a whole relation's worth.
   if (options.key_major_order) {
     std::sort(relevant.begin(), relevant.end(), [&](int a, int b) {
-      const Database::Block& ba = blocks[static_cast<size_t>(a)];
-      const Database::Block& bb = blocks[static_cast<size_t>(b)];
+      const Database::Block& ba = db.block(a);
+      const Database::Block& bb = db.block(b);
       if (ba.key != bb.key) return ba.key < bb.key;
       if (ba.relation != bb.relation) return ba.relation < bb.relation;
       return a < b;
@@ -200,7 +196,7 @@ Result<BacktrackingReport> SolveBacktracking(const Query& q,
 
   Decisions decisions;
   decisions.db = &db;
-  decisions.chosen_.assign(blocks.size(), -1);
+  decisions.chosen_.assign(db.NumBlocks(), -1);
   PessimisticView pessimistic(&decisions, &relevant);
   OptimisticView optimistic(&decisions);
 
@@ -226,8 +222,8 @@ Result<BacktrackingReport> SolveBacktracking(const Query& q,
     // The search may stop before deciding every block (prune or
     // early-accept): any completion of the recorded partial decision
     // falsifies q, so default undecided blocks to their first fact.
-    witness->assign(blocks.size(), 0);
-    for (size_t b = 0; b < blocks.size(); ++b) {
+    witness->assign(db.NumBlocks(), 0);
+    for (size_t b = 0; b < witness->size(); ++b) {
       if (decisions.chosen_[b] >= 0) (*witness)[b] = decisions.chosen_[b];
     }
   }

@@ -10,45 +10,76 @@
 
 namespace cqa {
 
-namespace {
-// Process-wide count of full block-index rebuilds (see IndexBuildCount).
-std::atomic<uint64_t> g_index_builds{0};
-}  // namespace
-
-uint64_t Database::IndexBuildCount() {
-  return g_index_builds.load(std::memory_order_relaxed);
-}
-
 Result<Database> Database::FromText(std::string_view text) {
   Result<std::vector<ParsedFact>> facts = ParseFacts(text);
   if (!facts.ok()) return Result<Database>::Error(facts);
   Database db{Schema()};
+  std::vector<int> positions;  // schema position of each parsed fact
+  positions.reserve(facts->size());
   for (const ParsedFact& f : *facts) {
-    Result<bool> r = db.AddFactAutoSchema(f.relation, f.key_len, f.values);
+    Result<Symbol> r = db.schema_.AddRelation(
+        f.relation, static_cast<int>(f.values.size()), f.key_len);
     // Schema conflicts in a fact file are still malformed input.
     if (!r.ok()) return Result<Database>::Error(ErrorCode::kParse, r.error());
+    positions.push_back(db.schema_.PositionOf(r.value()));
+  }
+  db.SyncLayout();
+  // Bulk load: all facts first, then each relation's block index in one
+  // pass. Allocating the index after the facts, not interleaved with them,
+  // keeps each relation's fact values contiguous in memory, which relation
+  // scans (the hottest read) depend on.
+  for (size_t i = 0; i < positions.size(); ++i) {
+    RelationData& rd = db.MutableRelation(positions[i]);
+    Tuple& values = facts.value()[i].values;
+    if (rd.fact_index.emplace(values, static_cast<int>(rd.facts.size()))
+            .second) {
+      rd.facts.push_back(std::move(values));
+    }
+  }
+  for (size_t pos = 0; pos < db.relations_.size(); ++pos) {
+    RelationData* rd = db.relations_[pos].get();
+    if (rd == nullptr) continue;
+    for (size_t i = 0; i < rd->facts.size(); ++i) {
+      db.IndexFact(static_cast<int>(pos), rd, static_cast<int>(i));
+    }
   }
   return db;
 }
 
-Database::RelationData& Database::MutableRelation(Symbol relation) {
-  std::shared_ptr<RelationData>& rd = relations_[relation];
+void Database::SyncLayout() {
+  const size_t n = schema_.relations().size();
+  relations_.resize(n);
+  block_offset_.resize(n + 1,
+                       block_offset_.empty() ? 0 : block_offset_.back());
+}
+
+Database::RelationData& Database::MutableRelation(int pos) {
+  std::shared_ptr<RelationData>& rd = relations_[static_cast<size_t>(pos)];
   if (rd == nullptr) {
     rd = std::make_shared<RelationData>();
   } else if (rd.use_count() > 1) {
-    // Shared with a sibling copy (another epoch): deep-copy this relation
-    // before mutating so the sibling keeps its snapshot untouched.
+    // Shared with a sibling copy (another epoch): deep-copy this relation,
+    // block index included, before mutating so the sibling keeps its
+    // snapshot untouched.
     rd = std::make_shared<RelationData>(*rd);
   }
   return *rd;
 }
 
+void Database::ShiftBlockOffsets(int pos, int delta) {
+  for (size_t p = static_cast<size_t>(pos) + 1; p < block_offset_.size();
+       ++p) {
+    block_offset_[p] += delta;
+  }
+}
+
 Result<bool> Database::AddFact(Symbol relation, Tuple values) {
-  if (!schema_.Has(relation)) {
+  const int pos = schema_.PositionOf(relation);
+  if (pos < 0) {
     return Result<bool>::Error("unknown relation '" + SymbolName(relation) +
                                "'");
   }
-  const RelationSchema& rs = schema_.Get(relation);
+  const RelationSchema& rs = schema_.relations()[static_cast<size_t>(pos)];
   if (static_cast<int>(values.size()) != rs.arity) {
     return Result<bool>::Error(
         "arity mismatch for '" + SymbolName(relation) + "': got " +
@@ -57,15 +88,32 @@ Result<bool> Database::AddFact(Symbol relation, Tuple values) {
   }
   // Membership check before MutableRelation: a duplicate insert must not
   // trigger a copy-on-write clone.
-  auto it = relations_.find(relation);
-  if (it != relations_.end() && it->second->fact_index.count(values) > 0) {
+  const RelationData* existing = RelationAt(pos);
+  if (existing != nullptr && existing->fact_index.count(values) > 0) {
     return false;
   }
-  RelationData& rd = MutableRelation(relation);
-  rd.fact_index.emplace(values, static_cast<int>(rd.facts.size()));
+  RelationData& rd = MutableRelation(pos);
+  const int idx = static_cast<int>(rd.facts.size());
+  rd.fact_index.emplace(values, idx);
   rd.facts.push_back(std::move(values));
-  InvalidateBlocks();
+  IndexFact(pos, &rd, idx);
+  components_.valid.store(false, std::memory_order_release);
   return true;
+}
+
+void Database::IndexFact(int pos, RelationData* rd, int idx) {
+  const RelationSchema& rs = schema_.relations()[static_cast<size_t>(pos)];
+  const Tuple& fact = rd->facts[static_cast<size_t>(idx)];
+  digest_acc_.Add(FactContentDigest(rs, fact));
+  auto [kit, inserted] = rd->block_by_key.emplace(
+      Tuple(fact.begin(), fact.begin() + rs.key_len),
+      static_cast<int>(rd->blocks.size()));
+  if (inserted) {
+    rd->blocks.push_back(Block{rs.name, kit->first, {}});
+    ShiftBlockOffsets(pos, 1);
+  }
+  rd->blocks[static_cast<size_t>(kit->second)].fact_indices.push_back(idx);
+  rd->fact_to_block.push_back(kit->second);
 }
 
 Result<bool> Database::AddFact(std::string_view relation, Tuple values) {
@@ -83,6 +131,7 @@ Result<bool> Database::AddFactAutoSchema(std::string_view relation,
   Result<Symbol> rel = schema_.AddRelation(
       relation, static_cast<int>(values.size()), key_len);
   if (!rel.ok()) return Result<bool>::Error(rel.error());
+  SyncLayout();
   return AddFact(rel.value(), std::move(values));
 }
 
@@ -92,9 +141,10 @@ Result<bool> Database::AddAll(const Database& other) {
         schema_.AddRelation(SymbolName(rs.name), rs.arity, rs.key_len);
     if (!r.ok()) return Result<bool>::Error(r.error());
   }
-  for (const auto& [rel, rd] : other.relations_) {
-    for (const Tuple& t : rd->facts) {
-      Result<bool> r = AddFact(rel, t);
+  SyncLayout();
+  for (const RelationSchema& rs : other.schema_.relations()) {
+    for (const Tuple& t : other.FactsOf(rs.name)) {
+      Result<bool> r = AddFact(rs.name, t);
       if (!r.ok()) return r;
     }
   }
@@ -102,21 +152,58 @@ Result<bool> Database::AddAll(const Database& other) {
 }
 
 bool Database::RemoveFact(Symbol relation, const Tuple& values) {
-  auto it = relations_.find(relation);
-  if (it == relations_.end() || it->second->fact_index.count(values) == 0) {
+  const int pos = schema_.PositionOf(relation);
+  const RelationData* existing = RelationAt(pos);
+  if (existing == nullptr || existing->fact_index.count(values) == 0) {
     return false;
   }
-  RelationData& rd = MutableRelation(relation);
+  RelationData& rd = MutableRelation(pos);
   auto fit = rd.fact_index.find(values);
-  int idx = fit->second;
-  int last = static_cast<int>(rd.facts.size()) - 1;
+  const int idx = fit->second;
+  const int last = static_cast<int>(rd.facts.size()) - 1;
+  digest_acc_.Remove(FactContentDigest(
+      schema_.relations()[static_cast<size_t>(pos)], values));
+  components_.valid.store(false, std::memory_order_release);
+
+  const int removed_block = rd.fact_to_block[static_cast<size_t>(idx)];
+  {
+    std::vector<int>& members =
+        rd.blocks[static_cast<size_t>(removed_block)].fact_indices;
+    members.erase(std::find(members.begin(), members.end(), idx));
+  }
   if (idx != last) {
-    rd.facts[static_cast<size_t>(idx)] = rd.facts[static_cast<size_t>(last)];
+    // Swap-with-last compaction: the last fact moves into the hole, so its
+    // index entry and its block membership entry both retarget to `idx`.
+    rd.facts[static_cast<size_t>(idx)] =
+        std::move(rd.facts[static_cast<size_t>(last)]);
     rd.fact_index[rd.facts[static_cast<size_t>(idx)]] = idx;
+    const int moved_block = rd.fact_to_block[static_cast<size_t>(last)];
+    std::vector<int>& members =
+        rd.blocks[static_cast<size_t>(moved_block)].fact_indices;
+    *std::find(members.begin(), members.end(), last) = idx;
+    rd.fact_to_block[static_cast<size_t>(idx)] = moved_block;
   }
   rd.facts.pop_back();
   rd.fact_index.erase(fit);
-  InvalidateBlocks();
+  rd.fact_to_block.pop_back();
+
+  if (rd.blocks[static_cast<size_t>(removed_block)].fact_indices.empty()) {
+    // The block emptied: swap-with-last on the relation's block list,
+    // retargeting the moved block's key entry and its members' entries.
+    const int end_block = static_cast<int>(rd.blocks.size()) - 1;
+    rd.block_by_key.erase(rd.blocks[static_cast<size_t>(removed_block)].key);
+    if (removed_block != end_block) {
+      rd.blocks[static_cast<size_t>(removed_block)] =
+          std::move(rd.blocks[static_cast<size_t>(end_block)]);
+      const Block& moved = rd.blocks[static_cast<size_t>(removed_block)];
+      rd.block_by_key[moved.key] = removed_block;
+      for (int member : moved.fact_indices) {
+        rd.fact_to_block[static_cast<size_t>(member)] = removed_block;
+      }
+    }
+    rd.blocks.pop_back();
+    ShiftBlockOffsets(pos, -1);
+  }
   return true;
 }
 
@@ -139,22 +226,20 @@ void Database::ForEachFactWithKey(
 
 void Database::ForEachFact(Symbol relation,
                            const std::function<bool(const Tuple&)>& fn) const {
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return;
-  for (const Tuple& t : it->second->facts) {
+  for (const Tuple& t : FactsOf(relation)) {
     if (!fn(t)) return;
   }
 }
 
 bool Database::Contains(Symbol relation, const Tuple& values) const {
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return false;
-  return it->second->fact_index.count(values) > 0;
+  const RelationData* rd = RelationAt(schema_.PositionOf(relation));
+  return rd != nullptr && rd->fact_index.count(values) > 0;
 }
 
 std::vector<Value> Database::ActiveDomain() const {
   std::set<Value> seen;
-  for (const auto& [rel, rd] : relations_) {
+  for (const std::shared_ptr<RelationData>& rd : relations_) {
+    if (rd == nullptr) continue;
     for (const Tuple& t : rd->facts) {
       for (Value v : t) seen.insert(v);
     }
@@ -164,158 +249,125 @@ std::vector<Value> Database::ActiveDomain() const {
 
 const std::vector<Tuple>& Database::FactsOf(Symbol relation) const {
   static const std::vector<Tuple>& empty = *new std::vector<Tuple>();
-  auto it = relations_.find(relation);
-  return it == relations_.end() ? empty : it->second->facts;
+  const RelationData* rd = RelationAt(schema_.PositionOf(relation));
+  return rd == nullptr ? empty : rd->facts;
 }
 
 size_t Database::NumFacts() const {
   size_t n = 0;
-  for (const auto& [rel, rd] : relations_) n += rd->facts.size();
+  for (const std::shared_ptr<RelationData>& rd : relations_) {
+    if (rd != nullptr) n += rd->facts.size();
+  }
   return n;
 }
 
-void Database::RebuildBlocks() const {
-  g_index_builds.fetch_add(1, std::memory_order_relaxed);
-  blocks_.clear();
-  fact_to_block_.clear();
-  block_by_key_.clear();
-  // Deterministic relation order: schema registration order.
-  for (const RelationSchema& rs : schema_.relations()) {
-    auto it = relations_.find(rs.name);
-    if (it == relations_.end()) continue;
-    const RelationData& rd = *it->second;
-    std::unordered_map<Tuple, int, TupleHash>& key_to_block =
-        block_by_key_[rs.name];
-    std::vector<int>& f2b = fact_to_block_[rs.name];
-    f2b.assign(rd.facts.size(), -1);
-    for (size_t i = 0; i < rd.facts.size(); ++i) {
-      Tuple key(rd.facts[i].begin(), rd.facts[i].begin() + rs.key_len);
-      auto [kit, inserted] =
-          key_to_block.emplace(key, static_cast<int>(blocks_.size()));
-      if (inserted) {
-        blocks_.push_back(Block{rs.name, std::move(key), {}});
-      }
-      blocks_[static_cast<size_t>(kit->second)].fact_indices.push_back(
-          static_cast<int>(i));
-      f2b[i] = kit->second;
-    }
-  }
-  blocks_valid_.store(true, std::memory_order_release);
+const Database::Block& Database::block(int b) const {
+  // The last relation whose first global id is <= b; empty relations share
+  // their successor's offset and are skipped by upper_bound.
+  const size_t pos = static_cast<size_t>(
+      std::upper_bound(block_offset_.begin(), block_offset_.end(), b) -
+      block_offset_.begin() - 1);
+  return relations_[pos]->blocks[static_cast<size_t>(b - block_offset_[pos])];
 }
 
-void Database::EnsureBlocks() const {
-  if (blocks_valid_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  if (!blocks_valid_.load(std::memory_order_relaxed)) RebuildBlocks();
+const Tuple& Database::BlockFact(int b, size_t member) const {
+  const size_t pos = static_cast<size_t>(
+      std::upper_bound(block_offset_.begin(), block_offset_.end(), b) -
+      block_offset_.begin() - 1);
+  const RelationData& rd = *relations_[pos];
+  const Block& blk = rd.blocks[static_cast<size_t>(b - block_offset_[pos])];
+  return rd.facts[static_cast<size_t>(blk.fact_indices[member])];
+}
+
+const std::vector<Database::Block>& Database::BlocksOf(
+    Symbol relation) const {
+  static const std::vector<Block>& empty = *new std::vector<Block>();
+  const RelationData* rd = RelationAt(schema_.PositionOf(relation));
+  return rd == nullptr ? empty : rd->blocks;
+}
+
+int Database::FirstBlockId(Symbol relation) const {
+  const int pos = schema_.PositionOf(relation);
+  return pos < 0 ? static_cast<int>(NumBlocks())
+                 : block_offset_[static_cast<size_t>(pos)];
 }
 
 std::optional<int> Database::BlockWithKey(Symbol relation,
                                           const Tuple& key) const {
-  EnsureBlocks();
-  auto rit = block_by_key_.find(relation);
-  if (rit == block_by_key_.end()) return std::nullopt;
-  auto kit = rit->second.find(key);
-  if (kit == rit->second.end()) return std::nullopt;
-  return kit->second;
+  const int pos = schema_.PositionOf(relation);
+  const RelationData* rd = RelationAt(pos);
+  if (rd == nullptr) return std::nullopt;
+  auto kit = rd->block_by_key.find(key);
+  if (kit == rd->block_by_key.end()) return std::nullopt;
+  return block_offset_[static_cast<size_t>(pos)] + kit->second;
 }
 
 std::vector<const Tuple*> Database::FactsWithKey(Symbol relation,
                                                  const Tuple& key) const {
   std::vector<const Tuple*> out;
-  std::optional<int> b = BlockWithKey(relation, key);
-  if (!b.has_value()) return out;
-  const Block& block = blocks_[static_cast<size_t>(*b)];
-  const std::vector<Tuple>& facts = FactsOf(relation);
-  out.reserve(block.fact_indices.size());
-  for (int i : block.fact_indices) {
-    out.push_back(&facts[static_cast<size_t>(i)]);
+  const RelationData* rd = RelationAt(schema_.PositionOf(relation));
+  if (rd == nullptr) return out;
+  auto kit = rd->block_by_key.find(key);
+  if (kit == rd->block_by_key.end()) return out;
+  const Block& blk = rd->blocks[static_cast<size_t>(kit->second)];
+  out.reserve(blk.fact_indices.size());
+  for (int i : blk.fact_indices) {
+    out.push_back(&rd->facts[static_cast<size_t>(i)]);
   }
   return out;
 }
 
-const std::vector<Database::Block>& Database::blocks() const {
-  EnsureBlocks();
-  return blocks_;
-}
-
 std::optional<int> Database::BlockOf(Symbol relation,
                                      const Tuple& values) const {
-  EnsureBlocks();
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return std::nullopt;
-  auto fit = it->second->fact_index.find(values);
-  if (fit == it->second->fact_index.end()) return std::nullopt;
-  auto bit = fact_to_block_.find(relation);
-  assert(bit != fact_to_block_.end());
-  return bit->second[static_cast<size_t>(fit->second)];
+  const int pos = schema_.PositionOf(relation);
+  const RelationData* rd = RelationAt(pos);
+  if (rd == nullptr) return std::nullopt;
+  auto fit = rd->fact_index.find(values);
+  if (fit == rd->fact_index.end()) return std::nullopt;
+  return block_offset_[static_cast<size_t>(pos)] +
+         rd->fact_to_block[static_cast<size_t>(fit->second)];
 }
 
 const Database::ComponentIndex& Database::BlockComponents() const {
-  if (!components_valid_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(components_mu_);
-    if (!components_valid_.load(std::memory_order_relaxed)) {
-      const std::vector<Block>& bs = blocks();
-      UnionFind uf(bs.size());
+  if (!components_.valid.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(components_.mu);
+    if (!components_.valid.load(std::memory_order_relaxed)) {
+      const int n = static_cast<int>(NumBlocks());
+      UnionFind uf(static_cast<size_t>(n));
       // A block links to every value any of its facts carries: two blocks
       // that could ever join (share a constant in any position, key or
       // non-key) end up merged. One pass, per value the first block seen
       // anchors the union.
       std::unordered_map<Symbol, int> value_anchor;
-      for (size_t b = 0; b < bs.size(); ++b) {
-        const std::vector<Tuple>& facts = FactsOf(bs[b].relation);
-        for (int fi : bs[b].fact_indices) {
-          for (Value v : facts[static_cast<size_t>(fi)]) {
-            auto [it, inserted] =
-                value_anchor.emplace(v.id(), static_cast<int>(b));
-            if (!inserted) uf.Union(it->second, static_cast<int>(b));
+      for (int b = 0; b < n; ++b) {
+        for (size_t m = 0; m < block(b).size(); ++m) {
+          for (Value v : BlockFact(b, m)) {
+            auto [it, inserted] = value_anchor.emplace(v.id(), b);
+            if (!inserted) uf.Union(it->second, b);
           }
         }
       }
       ComponentIndex idx;
-      idx.component_of_block.assign(bs.size(), -1);
+      idx.component_of_block.assign(static_cast<size_t>(n), -1);
       // Dense 0-based ids in order of first appearance over the block
-      // list, so the numbering is deterministic for a given block order.
+      // ids, so the numbering is deterministic for a given block order.
       std::unordered_map<int, int> root_to_id;
-      for (size_t b = 0; b < bs.size(); ++b) {
-        int root = uf.Find(static_cast<int>(b));
-        auto [it, inserted] = root_to_id.emplace(root, idx.num_components);
+      for (int b = 0; b < n; ++b) {
+        auto [it, inserted] =
+            root_to_id.emplace(uf.Find(b), idx.num_components);
         if (inserted) ++idx.num_components;
-        idx.component_of_block[b] = it->second;
+        idx.component_of_block[static_cast<size_t>(b)] = it->second;
       }
-      components_ = std::move(idx);
-      components_valid_.store(true, std::memory_order_release);
+      components_.index = std::move(idx);
+      components_.valid.store(true, std::memory_order_release);
     }
   }
-  return components_;
+  return components_.index;
 }
 
 bool Database::IsConsistent() const {
-  for (const Block& b : blocks()) {
-    if (b.size() > 1) return false;
-  }
-  return true;
+  return NumBlocks() == NumFacts();
 }
-
-namespace {
-
-// One fact rendered as an unambiguous byte string: each value spelling
-// length-prefixed (a value may contain any byte, including the separator
-// of a naive join). Lexicographic order on these renderings sorts first by
-// the key prefix, so sorting yields the block-ordered canonical form.
-std::string RenderFact(const Tuple& fact) {
-  std::string out;
-  for (Value v : fact) {
-    const std::string& name = v.name();
-    uint64_t len = name.size();
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-    }
-    out += name;
-  }
-  return out;
-}
-
-}  // namespace
 
 Hash128::Digest Database::FactContentDigest(const RelationSchema& rs,
                                             const Tuple& fact) {
@@ -326,178 +378,30 @@ Hash128::Digest Database::FactContentDigest(const RelationSchema& rs,
   h.UpdateSized(SymbolName(rs.name));
   h.UpdateU64(static_cast<uint64_t>(rs.arity));
   h.UpdateU64(static_cast<uint64_t>(rs.key_len));
-  h.UpdateSized(RenderFact(fact));
+  // Then the fact rendered as one length-prefixed byte string of
+  // length-prefixed value spellings (a value may contain any byte), fed
+  // piecewise rather than materialised.
+  uint64_t rendered = 0;
+  for (Value v : fact) rendered += 8 + v.name().size();
+  h.UpdateU64(rendered);
+  for (Value v : fact) h.UpdateSized(v.name());
   return h.Finish();
 }
 
 std::pair<uint64_t, uint64_t> Database::ContentDigest() const {
-  if (!digest_valid_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(digest_mu_);
-    if (!digest_valid_.load(std::memory_order_relaxed)) {
-      // Per-fact digests fold through the order-independent multiset
-      // combine: no sorting, no canonical relation order needed — any
-      // enumeration of the same facts reaches the same accumulator, which
-      // is also what lets a delta update it without this rescan.
-      SetHash128 acc;
-      for (const RelationSchema& rs : schema_.relations()) {
-        auto it = relations_.find(rs.name);
-        if (it == relations_.end()) continue;
-        for (const Tuple& fact : it->second->facts) {
-          acc.Add(FactContentDigest(rs, fact));
-        }
-      }
-      digest_acc_ = acc;
-      digest_valid_.store(true, std::memory_order_release);
-    }
-  }
-  // The release store above (or the one a concurrent computer made before
-  // our acquire load succeeded) publishes the accumulator words.
   Hash128::Digest d = digest_acc_.Finish();
   return {d.hi, d.lo};
 }
 
-std::shared_ptr<Database> Database::CloneWithIndexes() const {
-  // Force both memos on the source so the clone starts from valid state.
-  blocks();
-  ContentDigest();
-  // Built in place on the heap: a by-value return would be moved by the
-  // caller, and Database's move constructor drops the memos on purpose.
-  auto out = std::make_shared<Database>(schema_);
-  out->relations_ = relations_;  // shared copy-on-write, O(relations)
-  {
-    std::lock_guard<std::mutex> lock(blocks_mu_);
-    out->blocks_ = blocks_;
-    out->fact_to_block_ = fact_to_block_;
-    out->block_by_key_ = block_by_key_;
-  }
-  out->blocks_valid_.store(true, std::memory_order_release);
-  if (components_valid_.load(std::memory_order_acquire)) {
-    // Carry the component partition when it happens to be built (never
-    // forced: most epochs go on to mutate, which would drop it anyway).
-    std::lock_guard<std::mutex> lock(components_mu_);
-    out->components_ = components_;
-    out->components_valid_.store(true, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> lock(digest_mu_);
-    out->digest_acc_ = digest_acc_;
-  }
-  out->digest_valid_.store(true, std::memory_order_release);
-  return out;
-}
-
-Result<bool> Database::AddFactIncremental(Symbol relation, Tuple values) {
-  if (!schema_.Has(relation)) {
-    return Result<bool>::Error("unknown relation '" + SymbolName(relation) +
-                               "'");
-  }
-  const RelationSchema& rs = schema_.Get(relation);
-  if (static_cast<int>(values.size()) != rs.arity) {
-    return Result<bool>::Error(
-        "arity mismatch for '" + SymbolName(relation) + "': got " +
-        std::to_string(values.size()) + ", expected " +
-        std::to_string(rs.arity));
-  }
-  assert(blocks_valid_.load(std::memory_order_acquire) &&
-         digest_valid_.load(std::memory_order_acquire));
-  auto it = relations_.find(relation);
-  if (it != relations_.end() && it->second->fact_index.count(values) > 0) {
-    return false;
-  }
-  RelationData& rd = MutableRelation(relation);
-  const int idx = static_cast<int>(rd.facts.size());
-  digest_acc_.Add(FactContentDigest(rs, values));
-  // The new fact may bridge two components; drop the memo (rebuilt lazily)
-  // rather than patch it — see BlockComponents.
-  components_valid_.store(false, std::memory_order_release);
-
-  Tuple key(values.begin(), values.begin() + rs.key_len);
-  std::unordered_map<Tuple, int, TupleHash>& key_to_block =
-      block_by_key_[relation];
-  int block_id;
-  auto kit = key_to_block.find(key);
-  if (kit == key_to_block.end()) {
-    block_id = static_cast<int>(blocks_.size());
-    blocks_.push_back(Block{relation, key, {}});
-    key_to_block.emplace(std::move(key), block_id);
-  } else {
-    block_id = kit->second;
-  }
-  blocks_[static_cast<size_t>(block_id)].fact_indices.push_back(idx);
-  fact_to_block_[relation].push_back(block_id);
-
-  rd.fact_index.emplace(values, idx);
-  rd.facts.push_back(std::move(values));
-  return true;
-}
-
-bool Database::RemoveFactIncremental(Symbol relation, const Tuple& values) {
-  auto it = relations_.find(relation);
-  if (it == relations_.end() || it->second->fact_index.count(values) == 0) {
-    return false;
-  }
-  assert(blocks_valid_.load(std::memory_order_acquire) &&
-         digest_valid_.load(std::memory_order_acquire));
-  const RelationSchema& rs = schema_.Get(relation);
-  RelationData& rd = MutableRelation(relation);
-  auto fit = rd.fact_index.find(values);
-  const int idx = fit->second;
-  const int last = static_cast<int>(rd.facts.size()) - 1;
-  // Removal can split a component, and the swap-with-last compaction below
-  // renumbers block ids, so the block→component map cannot be patched.
-  components_valid_.store(false, std::memory_order_release);
-  digest_acc_.Remove(
-      FactContentDigest(rs, rd.facts[static_cast<size_t>(idx)]));
-
-  std::vector<int>& f2b = fact_to_block_[relation];
-  const int removed_block = f2b[static_cast<size_t>(idx)];
-  {
-    std::vector<int>& members =
-        blocks_[static_cast<size_t>(removed_block)].fact_indices;
-    members.erase(std::find(members.begin(), members.end(), idx));
-  }
-  if (idx != last) {
-    // Swap-with-last compaction: the last fact moves into the hole, so its
-    // index entry and its block membership entry both retarget to `idx`.
-    rd.facts[static_cast<size_t>(idx)] = rd.facts[static_cast<size_t>(last)];
-    rd.fact_index[rd.facts[static_cast<size_t>(idx)]] = idx;
-    const int moved_block = f2b[static_cast<size_t>(last)];
-    std::vector<int>& members =
-        blocks_[static_cast<size_t>(moved_block)].fact_indices;
-    *std::find(members.begin(), members.end(), last) = idx;
-    f2b[static_cast<size_t>(idx)] = moved_block;
-  }
-  rd.facts.pop_back();
-  rd.fact_index.erase(fit);
-  f2b.pop_back();
-
-  if (blocks_[static_cast<size_t>(removed_block)].fact_indices.empty()) {
-    // The block emptied: swap-with-last on the block list, retargeting the
-    // moved block's key entry and its members' fact_to_block entries.
-    const int end_block = static_cast<int>(blocks_.size()) - 1;
-    block_by_key_[relation].erase(
-        blocks_[static_cast<size_t>(removed_block)].key);
-    if (removed_block != end_block) {
-      blocks_[static_cast<size_t>(removed_block)] =
-          std::move(blocks_[static_cast<size_t>(end_block)]);
-      const Block& moved = blocks_[static_cast<size_t>(removed_block)];
-      block_by_key_[moved.relation][moved.key] = removed_block;
-      std::vector<int>& moved_f2b = fact_to_block_[moved.relation];
-      for (int member : moved.fact_indices) {
-        moved_f2b[static_cast<size_t>(member)] = removed_block;
-      }
-    }
-    blocks_.pop_back();
-  }
-  return true;
-}
-
 uint64_t Database::CountRepairs(uint64_t cap) const {
   uint64_t count = 1;
-  for (const Block& b : blocks()) {
-    uint64_t s = b.size();
-    if (count > cap / (s == 0 ? 1 : s)) return cap;
-    count *= s;
+  for (const std::shared_ptr<RelationData>& rd : relations_) {
+    if (rd == nullptr) continue;
+    for (const Block& b : rd->blocks) {
+      uint64_t s = b.size();
+      if (count > cap / (s == 0 ? 1 : s)) return cap;
+      count *= s;
+    }
   }
   return count;
 }

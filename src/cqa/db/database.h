@@ -51,7 +51,18 @@ class FactView {
 
 /// A (possibly inconsistent) database: a finite set of facts over a schema
 /// with one primary key per relation. Maintains a block index — a *block* is
-/// a maximal set of key-equal facts; repairs pick one fact per block.
+/// a maximal set of key-equal facts of one relation; repairs pick one fact
+/// per block.
+///
+/// Storage is per relation and shared copy-on-write: a copy shares every
+/// relation's facts *and* block index with its source until one side
+/// mutates that relation, so copying costs O(relations) and a mutation
+/// deep-copies only the relation it touches. Every index (facts, blocks,
+/// content digest) is maintained eagerly by `AddFact`/`RemoveFact`; there
+/// is no lazily rebuilt per-relation state, so sibling copies may be read
+/// from any number of threads while one of them is mutated. Const access
+/// is thread-safe; mutating one instance concurrently with any other access
+/// to *that instance* is a data race, as usual.
 class Database : public FactView {
  public:
   /// One block: all facts of `relation` sharing key `key`.
@@ -63,35 +74,8 @@ class Database : public FactView {
     size_t size() const { return fact_indices.size(); }
   };
 
-  explicit Database(Schema schema) : schema_(std::move(schema)) {}
-
-  // Copy/move transfer the facts but not the lazily-built block index (the
-  // cache guard is not copyable; the index rebuilds on first use). A copy
-  // *shares* the per-relation fact storage until one side mutates it
-  // (copy-on-write at relation granularity), so copying a large database
-  // costs O(relations), not O(facts). Const access is thread-safe — many
-  // threads may share one const Database (the serve layer does) — but
-  // mutating concurrently with any other access is a data race, as usual.
-  Database(const Database& other)
-      : schema_(other.schema_), relations_(other.relations_) {}
-  Database(Database&& other) noexcept
-      : schema_(std::move(other.schema_)),
-        relations_(std::move(other.relations_)) {}
-  Database& operator=(const Database& other) {
-    if (this != &other) {
-      schema_ = other.schema_;
-      relations_ = other.relations_;
-      InvalidateBlocks();
-    }
-    return *this;
-  }
-  Database& operator=(Database&& other) noexcept {
-    if (this != &other) {
-      schema_ = std::move(other.schema_);
-      relations_ = std::move(other.relations_);
-      InvalidateBlocks();
-    }
-    return *this;
+  explicit Database(Schema schema) : schema_(std::move(schema)) {
+    SyncLayout();
   }
 
   /// Parses facts (see `ParseFacts` grammar) into a database, inferring the
@@ -100,7 +84,8 @@ class Database : public FactView {
 
   /// Inserts a fact (set semantics: duplicates are ignored). Returns an
   /// error if the relation is unknown or the arity mismatches. Returns true
-  /// if the fact was new.
+  /// if the fact was new. O(1) amortized, plus a copy of the relation if
+  /// its storage is shared with another copy.
   Result<bool> AddFact(Symbol relation, Tuple values);
   Result<bool> AddFact(std::string_view relation, Tuple values);
   void AddFactOrDie(std::string_view relation, Tuple values);
@@ -112,8 +97,9 @@ class Database : public FactView {
   /// Inserts every fact of `other` (schemas must agree on shared relations).
   Result<bool> AddAll(const Database& other);
 
-  /// Removes a fact if present; returns true if removed. Invalidates block
-  /// and fact indices of that relation (they are rebuilt).
+  /// Removes a fact if present; returns true if removed. O(block): the
+  /// relation's fact array compacts swap-with-last and, when a block
+  /// empties, so does its block list — block ids may be renumbered.
   bool RemoveFact(Symbol relation, const Tuple& values);
 
   // FactView:
@@ -132,26 +118,37 @@ class Database : public FactView {
   size_t NumFacts() const;
   size_t NumFacts(Symbol relation) const { return FactsOf(relation).size(); }
 
-  /// The global block list (across all relations). Stable order.
-  const std::vector<Block>& blocks() const;
+  /// Global block ids number the blocks of all relations consecutively:
+  /// relation by relation in schema order, each relation's blocks in its
+  /// own (local) order. Ids are stable until the next mutation.
+  size_t NumBlocks() const {
+    return block_offset_.empty() ? 0 : block_offset_.back();
+  }
 
-  /// Index into `blocks()` of the block containing the given fact, if the
-  /// fact is present.
+  /// The block with global id `b` (< NumBlocks()). O(log relations).
+  const Block& block(int b) const;
+
+  /// Fact `member` (an index into `block(b).fact_indices`) of block `b`.
+  const Tuple& BlockFact(int b, size_t member) const;
+
+  /// The blocks of one relation in local order: local block i has global
+  /// id `FirstBlockId(relation) + i`. Empty for unknown or empty relations.
+  const std::vector<Block>& BlocksOf(Symbol relation) const;
+  int FirstBlockId(Symbol relation) const;
+
+  /// Global id of the block containing the given fact, if present.
   std::optional<int> BlockOf(Symbol relation, const Tuple& values) const;
 
-  /// Index into `blocks()` of the block with the given key, if any fact has
-  /// that key.
+  /// Global id of the block with the given key, if any fact has that key.
   std::optional<int> BlockWithKey(Symbol relation, const Tuple& key) const;
 
   /// The facts whose key prefix equals `key` (one block), resolved through
   /// the block index — O(1) plus the block size, instead of a relation scan.
-  /// Returns tuples by value indices; empty if no such block.
+  /// Empty if no such block.
   std::vector<const Tuple*> FactsWithKey(Symbol relation,
                                          const Tuple& key) const;
 
-  size_t NumBlocks() const { return blocks().size(); }
-
-  /// Query-independent partition of `blocks()` into value-connected
+  /// Query-independent partition of the blocks into value-connected
   /// components: two blocks land in one component iff some facts of theirs
   /// share a constant, transitively closed. Any query whose positive atoms
   /// are variable-connected can only join facts along shared constants, so
@@ -161,25 +158,19 @@ class Database : public FactView {
   /// deliberately coarser than any per-query conflict graph: coarsening
   /// only merges components, which is always sound.
   struct ComponentIndex {
-    /// For each index into `blocks()`, its component id. Component ids are
+    /// For each global block id, its component id. Component ids are
     /// dense, 0-based, and numbered in order of first appearance over the
-    /// block list — deterministic for a given block order.
+    /// global block ids — deterministic for a given block order.
     std::vector<int> component_of_block;
     int num_components = 0;
   };
 
-  /// The memoized component index (built on first use, like the block
-  /// index; thread-safe for const access). Invalidated by any mutation,
-  /// including the incremental mutators: `RemoveFactIncremental` compacts
-  /// block ids swap-with-last, so a block→component map cannot be patched
-  /// in place and is rebuilt instead — a delta epoch therefore never
-  /// carries stale component metadata.
+  /// The component index, built on first use (O(facts); only the parallel
+  /// exponential path asks for it) and memoized on this instance —
+  /// thread-safe for const access. A copy starts without it and any
+  /// mutation drops it: an insert may bridge components, a delete may
+  /// split one and renumber block ids.
   const ComponentIndex& BlockComponents() const;
-
-  /// Total `RebuildBlocks` executions across all Database instances in
-  /// this process (a monotone test hook: the parallel path must not
-  /// silently rebuild the block index once per component task).
-  static uint64_t IndexBuildCount();
 
   /// True iff every block is a singleton.
   bool IsConsistent() const;
@@ -188,40 +179,15 @@ class Database : public FactView {
   /// independently (salted with its relation's name/arity/key length) and
   /// the per-fact digests fold through the order-independent `SetHash128`
   /// combine — so two loads that discovered the same facts in any order
-  /// digest equally, and an insert or delete updates the digest in O(1)
-  /// from the delta alone (see AddFactIncremental / RemoveFactIncremental).
-  /// The value `FingerprintDatabase` wraps. Memoized under the same
-  /// double-checked pattern as the block index — computed at most once per
-  /// instance between bulk mutations. Thread-safe for const access.
+  /// digest equally. The accumulator is updated by every insert and delete
+  /// and travels with every copy, so this is O(1). The value
+  /// `FingerprintDatabase` wraps.
   std::pair<uint64_t, uint64_t> ContentDigest() const;
 
   /// The digest of one fact as it enters the multiset combine. Exposed so
   /// the delta journal can reason about fingerprints without a database.
   static Hash128::Digest FactContentDigest(const RelationSchema& rs,
                                            const Tuple& fact);
-
-  /// A copy that *keeps* the memoized block index and content digest of
-  /// this instance (both forced if absent), unlike the plain copy
-  /// constructor which drops them. This is how a delta derives the next
-  /// epoch: clone in O(blocks), then apply O(delta) incremental mutations
-  /// — never a full index rebuild or fact rescan. The relations' fact
-  /// storage is shared copy-on-write, so only relations the delta touches
-  /// are ever deep-copied. Returns a heap instance because moving a
-  /// Database (see the copy/move doc above) intentionally drops the memos
-  /// this clone exists to carry.
-  std::shared_ptr<Database> CloneWithIndexes() const;
-
-  /// Inserts a fact while *maintaining* the block index and content digest
-  /// incrementally (requires both valid — call `blocks()` and
-  /// `ContentDigest()` first, or start from `CloneWithIndexes`). O(1)
-  /// amortized. Same validation and set semantics as `AddFact`.
-  Result<bool> AddFactIncremental(Symbol relation, Tuple values);
-
-  /// Removes a fact with incremental index + digest maintenance; the
-  /// counterpart of `AddFactIncremental`. O(block) — removal compacts the
-  /// fact array (swap-with-last) and, when a block empties, the block list
-  /// (swap-with-last again), fixing up the affected index entries only.
-  bool RemoveFactIncremental(Symbol relation, const Tuple& values);
 
   /// Number of repairs = product of block sizes, capped at `cap`.
   uint64_t CountRepairs(uint64_t cap = UINT64_MAX) const;
@@ -233,61 +199,63 @@ class Database : public FactView {
   std::string ToText() const;
 
  private:
+  /// One relation's facts with its block index. Shared between copies and
+  /// never mutated while shared (see MutableRelation).
   struct RelationData {
-    std::vector<Tuple> facts;
     std::unordered_map<Tuple, int, TupleHash> fact_index;
+    std::vector<Block> blocks;
+    std::vector<int> fact_to_block;  // local block id of each fact
+    std::unordered_map<Tuple, int, TupleHash> block_by_key;
+    // Declared last so a copy allocates the facts last: the index copies
+    // above use up the allocator's scattered small free chunks first, and
+    // the facts' values land in contiguous memory, which relation scans
+    // (the hottest read) depend on.
+    std::vector<Tuple> facts;
   };
 
-  void InvalidateBlocks() {
-    blocks_valid_.store(false, std::memory_order_release);
-    digest_valid_.store(false, std::memory_order_release);
-    components_valid_.store(false, std::memory_order_release);
+  /// The memoized component partition. Copying yields an empty memo: the
+  /// partition is cheap to rebuild relative to the engines that want it,
+  /// and most copies are about to be mutated.
+  struct ComponentsMemo {
+    ComponentsMemo() = default;
+    ComponentsMemo(const ComponentsMemo&) {}
+    ComponentsMemo& operator=(const ComponentsMemo&) {
+      valid.store(false, std::memory_order_release);
+      return *this;
+    }
+    std::mutex mu;
+    std::atomic<bool> valid{false};
+    ComponentIndex index;
+  };
+
+  /// Grows `relations_` and `block_offset_` to the schema's size.
+  void SyncLayout();
+
+  /// The relation at schema position `pos`, or null if it has no storage.
+  const RelationData* RelationAt(int pos) const {
+    return pos < 0 ? nullptr : relations_[static_cast<size_t>(pos)].get();
   }
-  /// Double-checked rebuild of the lazy block index; safe to call from
-  /// concurrent const readers.
-  void EnsureBlocks() const;
-  void RebuildBlocks() const;
 
   /// The relation's data, cloned first if it is shared with another
   /// Database copy (copy-on-write) — a mutation must never be visible
-  /// through a sibling epoch. Creates the relation when absent.
-  RelationData& MutableRelation(Symbol relation);
+  /// through a sibling epoch. Creates the storage when absent.
+  RelationData& MutableRelation(int pos);
+
+  /// Enters fact `idx` of the relation at `pos`, the highest-numbered fact
+  /// not yet indexed, into its block index and the content digest.
+  void IndexFact(int pos, RelationData* rd, int idx);
+
+  /// Adds `delta` to the global offset of every relation after `pos`.
+  void ShiftBlockOffsets(int pos, int delta);
 
   Schema schema_;
-  // Values are shared across copies until mutated (see MutableRelation):
-  // an epoch derived by a small delta deep-copies only the relations the
-  // delta touches.
-  std::unordered_map<Symbol, std::shared_ptr<RelationData>> relations_;
-
-  // Lazily rebuilt block index. `blocks_valid_` is the publication flag:
-  // set with release after a rebuild completes (under `blocks_mu_`), read
-  // with acquire, so concurrent const readers see a fully-built index.
-  mutable std::mutex blocks_mu_;
-  mutable std::atomic<bool> blocks_valid_{false};
-  mutable std::vector<Block> blocks_;
-  // (relation, fact index) -> global block id
-  mutable std::unordered_map<Symbol, std::vector<int>> fact_to_block_;
-  // relation -> key tuple -> global block id
-  mutable std::unordered_map<Symbol,
-                             std::unordered_map<Tuple, int, TupleHash>>
-      block_by_key_;
-
-  // Lazily built value-connected component partition of the blocks,
-  // published like the block index. Kept behind its own mutex so an O(n)
-  // component build never holds up block-index readers.
-  mutable std::mutex components_mu_;
-  mutable std::atomic<bool> components_valid_{false};
-  mutable ComponentIndex components_;
-
-  // Lazily computed content digest, published like the block index: the
-  // accumulator words are written under `digest_mu_` before the release
-  // store of `digest_valid_`. A separate mutex so an O(n) digest
-  // computation never blocks block-index readers. The raw `SetHash128`
-  // accumulator (not the finished digest) is what is memoized, so the
-  // incremental mutators can fold a delta straight into it.
-  mutable std::mutex digest_mu_;
-  mutable std::atomic<bool> digest_valid_{false};
-  mutable SetHash128 digest_acc_;
+  // Indexed by schema position; null until the relation's first fact.
+  std::vector<std::shared_ptr<RelationData>> relations_;
+  // block_offset_[p] = global id of relation p's first block;
+  // block_offset_.back() = NumBlocks().
+  std::vector<int> block_offset_;
+  SetHash128 digest_acc_;
+  mutable ComponentsMemo components_;
 };
 
 }  // namespace cqa

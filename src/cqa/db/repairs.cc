@@ -7,22 +7,20 @@ namespace cqa {
 
 Repair::Repair(const Database* db, std::vector<int> choices)
     : db_(db), choices_(std::move(choices)) {
-  assert(choices_.size() == db_->blocks().size());
+  assert(choices_.size() == db_->NumBlocks());
 }
 
 const Tuple& Repair::ChosenFact(int b) const {
-  const Database::Block& block = db_->blocks()[static_cast<size_t>(b)];
-  int fact_idx =
-      block.fact_indices[static_cast<size_t>(choices_[static_cast<size_t>(b)])];
-  return db_->FactsOf(block.relation)[static_cast<size_t>(fact_idx)];
+  return db_->BlockFact(b,
+                        static_cast<size_t>(choices_[static_cast<size_t>(b)]));
 }
 
 void Repair::ForEachFact(Symbol relation,
                          const std::function<bool(const Tuple&)>& fn) const {
-  const auto& blocks = db_->blocks();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].relation != relation) continue;
-    if (!fn(ChosenFact(static_cast<int>(b)))) return;
+  const int first = db_->FirstBlockId(relation);
+  const int n = static_cast<int>(db_->BlocksOf(relation).size());
+  for (int b = first; b < first + n; ++b) {
+    if (!fn(ChosenFact(b))) return;
   }
 }
 
@@ -50,10 +48,9 @@ std::vector<Value> Repair::ActiveDomain() const {
 
 Database Repair::ToDatabase() const {
   Database out(db_->schema());
-  const auto& blocks = db_->blocks();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    Result<bool> r =
-        out.AddFact(blocks[b].relation, ChosenFact(static_cast<int>(b)));
+  for (size_t b = 0; b < choices_.size(); ++b) {
+    Result<bool> r = out.AddFact(db_->block(static_cast<int>(b)).relation,
+                                 ChosenFact(static_cast<int>(b)));
     assert(r.ok());
     (void)r;
   }
@@ -62,37 +59,38 @@ Database Repair::ToDatabase() const {
 
 std::string Repair::ToString() const {
   std::string out;
-  const auto& blocks = db_->blocks();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    out += Fact{blocks[b].relation, ChosenFact(static_cast<int>(b))}.ToString();
+  for (size_t b = 0; b < choices_.size(); ++b) {
+    out += Fact{db_->block(static_cast<int>(b)).relation,
+                ChosenFact(static_cast<int>(b))}
+               .ToString();
     out += "\n";
   }
   return out;
 }
 
+namespace {
+
+// Block sizes by global id: the odometer's digit bases.
+std::vector<int> BlockWidths(const Database& db) {
+  std::vector<int> widths(db.NumBlocks());
+  for (size_t b = 0; b < widths.size(); ++b) {
+    widths[b] = static_cast<int>(db.block(static_cast<int>(b)).size());
+  }
+  return widths;
+}
+
+}  // namespace
+
 bool ForEachRepair(const Database& db,
                    const std::function<bool(const Repair&)>& fn) {
-  const auto& blocks = db.blocks();
-  std::vector<int> choices(blocks.size(), 0);
-  while (true) {
-    if (!fn(Repair(&db, choices))) return false;
-    // Odometer increment.
-    size_t i = 0;
-    for (; i < blocks.size(); ++i) {
-      if (choices[i] + 1 < static_cast<int>(blocks[i].size())) {
-        ++choices[i];
-        for (size_t j = 0; j < i; ++j) choices[j] = 0;
-        break;
-      }
-    }
-    if (i == blocks.size()) return true;
-  }
+  // Without a budget the governed overload cannot fail.
+  return ForEachRepair(db, nullptr, fn).value();
 }
 
 Result<bool> ForEachRepair(const Database& db, Budget* budget,
                            const std::function<bool(const Repair&)>& fn) {
-  const auto& blocks = db.blocks();
-  std::vector<int> choices(blocks.size(), 0);
+  const std::vector<int> widths = BlockWidths(db);
+  std::vector<int> choices(widths.size(), 0);
   while (true) {
     if (budget != nullptr) {
       if (std::optional<ErrorCode> code = budget->CheckEvery()) {
@@ -101,24 +99,22 @@ Result<bool> ForEachRepair(const Database& db, Budget* budget,
       }
     }
     if (!fn(Repair(&db, choices))) return false;
+    // Odometer increment.
     size_t i = 0;
-    for (; i < blocks.size(); ++i) {
-      if (choices[i] + 1 < static_cast<int>(blocks[i].size())) {
+    for (; i < widths.size(); ++i) {
+      if (choices[i] + 1 < widths[i]) {
         ++choices[i];
         for (size_t j = 0; j < i; ++j) choices[j] = 0;
         break;
       }
     }
-    if (i == blocks.size()) return true;
+    if (i == widths.size()) return true;
   }
 }
 
 Repair RandomRepair(const Database& db, Rng* rng) {
-  const auto& blocks = db.blocks();
-  std::vector<int> choices(blocks.size());
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    choices[b] = static_cast<int>(rng->Below(blocks[b].size()));
-  }
+  std::vector<int> choices = BlockWidths(db);
+  for (int& c : choices) c = static_cast<int>(rng->Below(c));
   return Repair(&db, choices);
 }
 

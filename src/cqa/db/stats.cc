@@ -29,28 +29,35 @@ std::string InconsistencyStats::ToString() const {
 
 InconsistencyStats ComputeStats(const Database& db) {
   InconsistencyStats out;
-  for (const Database::Block& block : db.blocks()) Accumulate(&out, block);
+  for (const RelationSchema& rs : db.schema().relations()) {
+    for (const Database::Block& block : db.BlocksOf(rs.name)) {
+      Accumulate(&out, block);
+    }
+  }
   return out;
 }
 
 std::map<std::string, InconsistencyStats> ComputeStatsPerRelation(
     const Database& db) {
   std::map<std::string, InconsistencyStats> out;
-  for (const Database::Block& block : db.blocks()) {
-    Accumulate(&out[SymbolName(block.relation)], block);
+  for (const RelationSchema& rs : db.schema().relations()) {
+    for (const Database::Block& block : db.BlocksOf(rs.name)) {
+      Accumulate(&out[SymbolName(rs.name)], block);
+    }
   }
   return out;
 }
 
 Database CertainFacts(const Database& db) {
   Database out(db.schema());
-  for (const Database::Block& block : db.blocks()) {
-    if (block.size() != 1) continue;
-    Result<bool> r = out.AddFact(
-        block.relation,
-        db.FactsOf(block.relation)[static_cast<size_t>(
-            block.fact_indices[0])]);
-    (void)r;
+  for (const RelationSchema& rs : db.schema().relations()) {
+    const std::vector<Tuple>& facts = db.FactsOf(rs.name);
+    for (const Database::Block& block : db.BlocksOf(rs.name)) {
+      if (block.size() != 1) continue;
+      Result<bool> r = out.AddFact(
+          rs.name, facts[static_cast<size_t>(block.fact_indices[0])]);
+      (void)r;
+    }
   }
   return out;
 }

@@ -9,8 +9,8 @@
 
 namespace cqa {
 
-Result<DeltaApplyOutcome> ApplyDeltaToDatabase(const Database& base,
-                                               const FactDelta& delta) {
+Result<DeltaApplyOutcome> ApplyDeltaInPlace(Database* db,
+                                            const FactDelta& delta) {
   if (delta.ops.size() > kMaxDeltaOps) {
     return Result<DeltaApplyOutcome>::Error(
         ErrorCode::kUnsupported,
@@ -18,8 +18,8 @@ Result<DeltaApplyOutcome> ApplyDeltaToDatabase(const Database& base,
             std::to_string(kMaxDeltaOps));
   }
   // Validate every op against the schema before touching anything, so a
-  // rejected delta leaves no half-applied epoch to roll back.
-  const Schema& schema = base.schema();
+  // rejected delta leaves nothing half-applied to roll back.
+  const Schema& schema = db->schema();
   for (const DeltaOp& op : delta.ops) {
     Symbol rel = InternSymbol(op.relation);
     if (!schema.Has(rel)) {
@@ -37,7 +37,6 @@ Result<DeltaApplyOutcome> ApplyDeltaToDatabase(const Database& base,
   }
 
   DeltaApplyOutcome out;
-  std::shared_ptr<Database> next = base.CloneWithIndexes();
   std::set<std::string> touched;
   for (const DeltaOp& op : delta.ops) {
     Symbol rel = InternSymbol(op.relation);
@@ -46,21 +45,22 @@ Result<DeltaApplyOutcome> ApplyDeltaToDatabase(const Database& base,
     for (const std::string& v : op.values) values.push_back(Value::Of(v));
     touched.insert(op.relation);
     if (op.insert) {
-      Result<bool> added = next->AddFactIncremental(rel, std::move(values));
-      if (!added.ok()) {
-        // Unreachable after validation above, but keep the epoch unpublished
-        // rather than trusting that invariant forever.
-        return Result<DeltaApplyOutcome>::Error(ErrorCode::kInternal,
-                                                added.error());
-      }
-      if (added.value()) ++out.inserted;
+      // Cannot fail after the validation above.
+      if (db->AddFact(rel, std::move(values)).value()) ++out.inserted;
     } else {
-      if (next->RemoveFactIncremental(rel, values)) ++out.deleted;
+      if (db->RemoveFact(rel, values)) ++out.deleted;
     }
   }
   out.touched.assign(touched.begin(), touched.end());
-  out.fingerprint = FingerprintDatabase(*next);
-  out.db = std::move(next);
+  out.fingerprint = FingerprintDatabase(*db);
+  return out;
+}
+
+Result<DeltaApplyOutcome> ApplyDeltaToDatabase(const Database& base,
+                                               const FactDelta& delta) {
+  auto next = std::make_shared<Database>(base);  // O(relations)
+  Result<DeltaApplyOutcome> out = ApplyDeltaInPlace(next.get(), delta);
+  if (out.ok()) out.value().db = std::move(next);
   return out;
 }
 

@@ -36,7 +36,7 @@ inline constexpr size_t kMaxDeltaIdBytes = 128;
 /// Result of applying a delta: the next epoch plus everything the serving
 /// layer needs to journal the change and invalidate caches.
 struct DeltaApplyOutcome {
-  std::shared_ptr<const Database> db;
+  std::shared_ptr<const Database> db;  // null after an in-place apply
   uint64_t inserted = 0;  // facts actually added (duplicates don't count)
   uint64_t deleted = 0;   // facts actually removed (absent ones don't count)
   /// Sorted unique names of relations named by any op — the delta's
@@ -47,15 +47,22 @@ struct DeltaApplyOutcome {
   DbFingerprint fingerprint;  // of the new epoch
 };
 
-/// Validates and applies `delta` to `base`, producing a new immutable epoch.
-///
-/// Validation is all-or-nothing and happens before any mutation: every op
-/// must name a known relation with matching arity, else the whole delta is
-/// rejected (`kUnsupported`) and `base` is untouched. `base` itself is never
-/// mutated either way — the epoch is a `CloneWithIndexes` copy sharing
-/// untouched relations' storage, so cost is O(blocks + delta), and readers
-/// holding the old epoch (in-flight solves, forked sandbox children) keep a
-/// consistent pre-delta view until their shared_ptr drops.
+/// Validates and applies `delta` to `*db` in place (the returned outcome's
+/// `db` stays null). Validation is all-or-nothing and happens before any
+/// mutation: every op must name a known relation with matching arity, else
+/// the whole delta is rejected (`kUnsupported`) and `*db` is untouched.
+/// Cost: O(delta), plus one deep copy of each touched relation whose
+/// storage `*db` still shares with another copy.
+Result<DeltaApplyOutcome> ApplyDeltaInPlace(Database* db,
+                                            const FactDelta& delta);
+
+/// Validates and applies `delta` to a copy of `base`, producing a new
+/// immutable epoch; `base` is never mutated. The epoch shares every
+/// relation the delta does not touch — facts and block index — with
+/// `base`, so cost is O(relations + touched relations + delta), and
+/// readers holding the old epoch (in-flight solves, forked sandbox
+/// children) keep a consistent pre-delta view until their shared_ptr
+/// drops.
 Result<DeltaApplyOutcome> ApplyDeltaToDatabase(const Database& base,
                                                const FactDelta& delta);
 

@@ -217,6 +217,19 @@ void CollectConstants(const Fo& f, std::set<Value>* out) {
 }
 }  // namespace
 
+Result<bool> CheckFoAgainst(const FoPtr& f, const Schema& schema) {
+  if (f->kind() == FoKind::kAtom) {
+    return schema.CheckFits(f->relation(),
+                            static_cast<int>(f->terms().size()), f->key_len(),
+                            "formula");
+  }
+  for (const FoPtr& c : f->children()) {
+    Result<bool> fits = CheckFoAgainst(c, schema);
+    if (!fits.ok()) return fits;
+  }
+  return true;
+}
+
 std::vector<Value> Fo::Constants() const {
   std::set<Value> seen;
   CollectConstants(*this, &seen);

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "cqa/base/result.h"
 #include "cqa/base/symbol_set.h"
+#include "cqa/query/schema.h"
 #include "cqa/query/term.h"
 
 namespace cqa {
@@ -89,6 +91,12 @@ class Fo {
   std::vector<FoPtr> children_;
   std::vector<Symbol> qvars_;
 };
+
+/// Whether every atom of `f` fits `schema` (see `Schema::CheckFits`); a
+/// mismatch fails `kParse`. Evaluating a formula whose atoms disagree with
+/// the database's signatures is undefined, so call this before running a
+/// user-supplied formula on a user database.
+Result<bool> CheckFoAgainst(const FoPtr& f, const Schema& schema);
 
 FoPtr FoTrue();
 FoPtr FoFalse();

@@ -128,7 +128,6 @@ bool DataDecomposable(const Query& q) {
 }
 
 std::vector<DataComponent> DecomposeData(const Query& q, const Database& db) {
-  const std::vector<Database::Block>& bs = db.blocks();
   const Database::ComponentIndex& ci = db.BlockComponents();
 
   SymbolSet query_rels;
@@ -145,12 +144,13 @@ std::vector<DataComponent> DecomposeData(const Query& q, const Database& db) {
     SymbolSet present_positive;
   };
   std::map<int, CompInfo> comps;
-  for (size_t b = 0; b < bs.size(); ++b) {
-    if (!query_rels.contains(bs[b].relation)) continue;
+  for (size_t b = 0; b < db.NumBlocks(); ++b) {
+    const Symbol relation = db.block(static_cast<int>(b)).relation;
+    if (!query_rels.contains(relation)) continue;
     CompInfo& info = comps[ci.component_of_block[b]];
     info.blocks.push_back(static_cast<int>(b));
-    if (positive_rels.contains(bs[b].relation)) {
-      info.present_positive.Insert(bs[b].relation);
+    if (positive_rels.contains(relation)) {
+      info.present_positive.Insert(relation);
     }
   }
 
@@ -162,18 +162,13 @@ std::vector<DataComponent> DecomposeData(const Query& q, const Database& db) {
     auto sub = std::make_shared<Database>(db.schema());
     size_t facts = 0;
     for (int b : info.blocks) {
-      const Database::Block& block = bs[static_cast<size_t>(b)];
-      const std::vector<Tuple>& all = db.FactsOf(block.relation);
-      for (int fi : block.fact_indices) {
-        Result<bool> added =
-            sub->AddFact(block.relation, all[static_cast<size_t>(fi)]);
+      const Database::Block& block = db.block(b);
+      for (size_t m = 0; m < block.size(); ++m) {
+        Result<bool> added = sub->AddFact(block.relation, db.BlockFact(b, m));
         (void)added;  // schema copied from db: cannot fail
         ++facts;
       }
     }
-    // Force the sub-database's block index once, here: the solver tasks
-    // share the pointer and must never each pay (or race) a rebuild.
-    sub->blocks();
     DataComponent component;
     component.db = std::move(sub);
     component.blocks = info.blocks.size();

@@ -57,10 +57,9 @@ bool DataDecomposable(const Query& q);
 /// relations of the sub-query it was built for.
 struct DataComponent {
   /// A self-contained sub-database holding exactly the facts of the
-  /// component's blocks over the sub-query's relations. Built with its
-  /// block index forced, so solver tasks sharing the pointer never trigger
-  /// a rebuild (and must never copy the Database — copies drop the index
-  /// by design).
+  /// component's blocks over the sub-query's relations, built once (its
+  /// block index is maintained as the facts go in); solver tasks share it
+  /// read-only through this pointer.
   std::shared_ptr<const Database> db;
   size_t blocks = 0;
   size_t facts = 0;

@@ -91,8 +91,7 @@ Result<ParallelReport> SolveCertainParallel(const Query& q,
   }
 
   // Plan the component tasks. Sub-databases keep their owning shared_ptr
-  // here; tasks reference them by pointer and never copy a Database (a
-  // copy would drop the block index forced at decompose time).
+  // here; tasks reference them by pointer and never copy a Database.
   struct PlannedTask {
     const Query* query = nullptr;
     const Database* db = nullptr;

@@ -235,23 +235,10 @@ Result<bool> Query::RegisterInto(Schema* schema) const {
 }
 
 Result<bool> Query::CheckAgainst(const Schema& schema) const {
-  auto signature = [](const std::string& name, int arity, int key_len) {
-    return name + "[" + std::to_string(arity) + "," +
-           std::to_string(key_len) + "]";
-  };
   for (const Literal& l : literals_) {
-    if (!schema.Has(l.atom.relation())) continue;
-    const RelationSchema& rs = schema.Get(l.atom.relation());
-    if (rs.arity == l.atom.arity() && rs.key_len == l.atom.key_len()) {
-      continue;
-    }
-    const std::string& name = l.atom.relation_name();
-    return Result<bool>::Error(
-        ErrorCode::kParse,
-        "relation '" + name + "' is " +
-            signature(name, l.atom.arity(), l.atom.key_len()) +
-            " in the query but " + signature(name, rs.arity, rs.key_len) +
-            " in the database");
+    Result<bool> fits = schema.CheckFits(l.atom.relation(), l.atom.arity(),
+                                         l.atom.key_len(), "query");
+    if (!fits.ok()) return fits;
   }
   return true;
 }

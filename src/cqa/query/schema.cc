@@ -39,6 +39,23 @@ bool Schema::Has(Symbol relation) const {
   return index_.find(relation) != index_.end();
 }
 
+Result<bool> Schema::CheckFits(Symbol relation, int arity, int key_len,
+                               const std::string& source) const {
+  auto it = index_.find(relation);
+  if (it == index_.end()) return true;
+  const RelationSchema& rs = relations_[it->second];
+  if (rs.arity == arity && rs.key_len == key_len) return true;
+  const std::string& name = SymbolName(relation);
+  auto signature = [&name](int n, int k) {
+    return name + "[" + std::to_string(n) + "," + std::to_string(k) + "]";
+  };
+  return Result<bool>::Error(
+      ErrorCode::kParse, "relation '" + name + "' is " +
+                             signature(arity, key_len) + " in the " + source +
+                             " but " + signature(rs.arity, rs.key_len) +
+                             " in the database");
+}
+
 const RelationSchema& Schema::Get(Symbol relation) const {
   auto it = index_.find(relation);
   assert(it != index_.end());

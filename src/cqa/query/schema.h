@@ -33,6 +33,18 @@ class Schema {
   Symbol AddRelationOrDie(std::string_view name, int arity, int key_len);
 
   bool Has(Symbol relation) const;
+  /// Registration-order position of `relation` in `relations()`, or -1.
+  int PositionOf(Symbol relation) const {
+    auto it = index_.find(relation);
+    return it == index_.end() ? -1 : static_cast<int>(it->second);
+  }
+
+  /// Whether an atom of `relation` with signature [arity, key_len], taken
+  /// from `source` (e.g. "query"), fits this schema. Unregistered relations
+  /// fit (they are empty); a registered one with another signature fails
+  /// `kParse`, naming the relation and both signatures.
+  Result<bool> CheckFits(Symbol relation, int arity, int key_len,
+                         const std::string& source) const;
   const RelationSchema& Get(Symbol relation) const;
   int ArityOf(Symbol relation) const { return Get(relation).arity; }
   int KeyLenOf(Symbol relation) const { return Get(relation).key_len; }

@@ -26,10 +26,6 @@ Result<std::shared_ptr<const Database>> DatabaseRegistry::Attach(
   if (db == nullptr) {
     return R::Error(ErrorCode::kInternal, "attach of a null database");
   }
-  // Pay for the block index and the content fingerprint here, once, on the
-  // attaching thread — never on a request path. Both are memoized on the
-  // instance, so the shards' cache lookups are hash-map hits from now on.
-  db->blocks();
   Slot slot;
   slot.db = db;
   slot.fingerprint = FingerprintDatabase(*db);

@@ -79,6 +79,9 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
     Result<JournalReplay> replay =
         ReplayJournalFile(path, /*truncate_torn_tail=*/true);
     if (!replay.ok()) return R::Error(replay);
+    // Records apply in place to one private copy of the recovered base:
+    // one epoch object for the whole replay, not one per record.
+    std::shared_ptr<Database> replayed;
     uint64_t ordinal = 0;
     for (const JournalRecord& rec : replay->records) {
       ++ordinal;
@@ -96,8 +99,9 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
                             std::to_string(recovered_epoch) +
                             ", record claims " + std::to_string(rec_epoch));
       }
+      if (replayed == nullptr) replayed = std::make_shared<Database>(*db);
       Result<DeltaApplyOutcome> applied =
-          ApplyDeltaToDatabase(*db, rec.delta);
+          ApplyDeltaInPlace(replayed.get(), rec.delta);
       if (!applied.ok()) {
         return R::Error(ErrorCode::kInternal,
                         "journal replay of '" + name + "' failed at record " +
@@ -113,10 +117,10 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
                 " != journaled " + rec.fp_after.ToHex() +
                 " — wrong base snapshot for this journal?");
       }
-      db = applied->db;
       recovered_epoch = rec_epoch;
       window.Insert(rec.delta.id, rec_epoch);
     }
+    if (replayed != nullptr) db = std::move(replayed);
     Result<std::unique_ptr<DeltaJournal>> opened =
         DeltaJournal::Open(path, options_.journal);
     if (!opened.ok()) return R::Error(opened);
@@ -131,7 +135,7 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
   auto shard = std::make_shared<Shard>();
   shard->name = name;
   shard->db = *attached;
-  shard->fingerprint = FingerprintDatabase(**attached);  // memoized
+  shard->fingerprint = FingerprintDatabase(**attached);
   shard->epoch = recovered_epoch;
   shard->applied_delta_ids = std::move(window);
   shard->journal = std::move(journal);

@@ -121,8 +121,7 @@ bool Algorithm1::CaseKeyVars(const Query& q, size_t pick) {
   if (!q.IsNegated(pick)) {
     // θ(F) must be key-equal to a fact of every repair, hence to a block of
     // the database: enumerate R-block keys matching the key pattern.
-    for (const Database::Block& block : db_.blocks()) {
-      if (block.relation != atom.relation()) continue;
+    for (const Database::Block& block : db_.BlocksOf(atom.relation())) {
       Valuation theta;
       if (MatchTerms(key_terms, block.key, &theta)) {
         if (RecCached(SubstituteAll(q, theta))) return true;

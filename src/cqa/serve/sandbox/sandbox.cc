@@ -138,11 +138,6 @@ SandboxOutcome RunSandboxedSolve(const Query& q, const Database& db,
                                  const std::atomic<bool>* cancel) {
   SandboxOutcome out;
 
-  // Pre-warm the database's lazy indexes so the child inherits them built
-  // (COW) instead of taking `blocks_mu_` — a lock another parent thread
-  // could hold at the fork moment — to build its own copy.
-  db.blocks();
-  db.ContentDigest();
   uint64_t parent_as = ParentAddressSpaceBytes();
 
   int fds[2];

@@ -65,8 +65,8 @@ Result<uint64_t> SolveService::Submit(ServeJob job, Callback callback) {
     // resume cursor is minted against it at delivery, and a supplied
     // cursor is validated here — at admission, against the epoch this
     // request will actually read — so a flipped epoch fails typed before
-    // any work is scheduled. (`FingerprintDatabase` rides the database's
-    // memoized digest; this is a hash-map hit after the first call.)
+    // any work is scheduled. (`FingerprintDatabase` reads the database's
+    // maintained digest in O(1).)
     req->fp = FingerprintDatabase(*req->job.db);
     req->query_hash = AnswerQueryHash(req->job.query, req->job.free_vars);
     if (!req->job.cursor.empty()) {
@@ -99,8 +99,7 @@ Result<uint64_t> SolveService::Submit(ServeJob job, Callback callback) {
     use_cache = false;
   }
   if (use_cache) {
-    // `FingerprintDatabase` rides the database's own memoized digest, so
-    // this is a hash-map hit after the first lookup per instance.
+    // `FingerprintDatabase` reads the database's maintained digest: O(1).
     req->cache_key =
         req->job.kind == JobKind::kAnswers
             ? MakeAnswersCacheKey(req->fp, req->job.method, req->job.query,

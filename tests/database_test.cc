@@ -25,8 +25,8 @@ TEST(DatabaseTest, Figure1BlocksAndCounts) {
   EXPECT_EQ(db.NumBlocks(), 4u);
   EXPECT_FALSE(db.IsConsistent());
   EXPECT_EQ(db.CountRepairs(), 16u);
-  for (const Database::Block& b : db.blocks()) {
-    EXPECT_EQ(b.size(), 2u);
+  for (size_t b = 0; b < db.NumBlocks(); ++b) {
+    EXPECT_EQ(db.block(static_cast<int>(b)).size(), 2u);
   }
 }
 

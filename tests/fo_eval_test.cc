@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cqa/fo/eval.h"
+#include "cqa/fo/fo_parser.h"
 #include "cqa/fo/formula.h"
 
 namespace cqa {
@@ -14,6 +15,28 @@ Database Db(const char* text) {
   Result<Database> db = Database::FromText(text);
   EXPECT_TRUE(db.ok()) << (db.ok() ? "" : db.error());
   return db.value();
+}
+
+TEST(FoEvalTest, SchemaMismatchIsATypedParseError) {
+  // R is unary in the database but binary in the formula: evaluating it
+  // would index past the facts, so the check must refuse it first.
+  Database db = Db("R(a), S(b | a), R(c)");
+  Result<FoPtr> f = ParseFo("exists x y. R(x | y) & !S(y | x)");
+  ASSERT_TRUE(f.ok()) << f.error();
+  Result<bool> fits = CheckFoAgainst(f.value(), db.schema());
+  ASSERT_FALSE(fits.ok());
+  EXPECT_EQ(fits.code(), ErrorCode::kParse);
+  EXPECT_NE(fits.error().find("'R'"), std::string::npos) << fits.error();
+  EXPECT_NE(fits.error().find("R[2,1] in the formula"), std::string::npos)
+      << fits.error();
+  EXPECT_NE(fits.error().find("R[1,1] in the database"), std::string::npos)
+      << fits.error();
+
+  // Matching signatures, and relations the database lacks, both fit.
+  Result<FoPtr> g = ParseFo("exists x y. S(x | y) & !T(y)");
+  ASSERT_TRUE(g.ok()) << g.error();
+  EXPECT_TRUE(CheckFoAgainst(g.value(), db.schema()).ok());
+  EXPECT_TRUE(EvalFo(g.value(), db));
 }
 
 TEST(FoEvalTest, GroundAtoms) {

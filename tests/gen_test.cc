@@ -29,8 +29,9 @@ TEST(RandomDbTest, RespectsKnobs) {
   Rng rng(7);
   Database db = GenerateRandomDatabase(s, opts, &rng);
   EXPECT_GT(db.NumFacts(), 10u);
-  for (const Database::Block& block : db.blocks()) {
-    EXPECT_LE(block.size(), 4u);  // merges can at most double here
+  for (size_t b = 0; b < db.NumBlocks(); ++b) {
+    // merges can at most double here
+    EXPECT_LE(db.block(static_cast<int>(b)).size(), 4u);
   }
 }
 
@@ -95,10 +96,8 @@ TEST(PollTest, GeneratedDataMatchesSchema) {
   // With inconsistency 0.3 and 45+ draws, some block should be violated.
   EXPECT_FALSE(db.IsConsistent());
   // Likes is all-key, hence always consistent on its own.
-  for (const Database::Block& b : db.blocks()) {
-    if (b.relation == InternSymbol("Likes")) {
-      EXPECT_EQ(b.size(), 1u);
-    }
+  for (const Database::Block& b : db.BlocksOf(InternSymbol("Likes"))) {
+    EXPECT_EQ(b.size(), 1u);
   }
 }
 

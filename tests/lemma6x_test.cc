@@ -97,7 +97,7 @@ TEST(Lemma68Test, KeyRelevantSwapPreservesRestrictedWitnesses) {
       const Fact& a = relevant[0];
       std::optional<int> block = db.BlockOf(a.relation, a.values);
       ASSERT_TRUE(block.has_value());
-      const Database::Block& blk = db.blocks()[static_cast<size_t>(*block)];
+      const Database::Block& blk = db.block(*block);
       if (blk.size() < 2) continue;
       ++exercised;
       for (int fact_idx : blk.fact_indices) {

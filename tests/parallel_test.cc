@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cqa/base/rng.h"
+#include "cqa/cache/fingerprint.h"
 #include "cqa/certainty/solver.h"
 #include "cqa/db/database.h"
 #include "cqa/gen/families.h"
@@ -192,34 +193,43 @@ TEST(ParallelDecomposeTest, DisequalitiesAndGroundLiteralsBlockDataSplit) {
 // Block-index reuse across the component split
 
 TEST(ParallelIndexTest, ComponentSplitBuildsEachSubIndexExactlyOnce) {
-  // Database copies drop the lazily-built block index by design; the
-  // parallel path must not let that turn into a rebuild per task. The
-  // decomposer forces each sub-database's index once at construction and
-  // tasks share the sub-database read-only: total builds = 1 (parent,
-  // reused across all widths) + one per component, regardless of pool
-  // width or how often the components are re-solved.
+  // Each component sub-database is built once, at decomposition, with its
+  // block index maintained as its facts go in — complete before any task
+  // runs. The decomposer is its only owner, so the solver tasks borrow it
+  // rather than copy it, and solving never writes to the parent.
   Database db = Db(
       "R('a1' | 'b1'), S('b1' | 'a1'), "
       "R('a2' | 'b2'), S('b2' | 'a2'), "
       "R('a3' | 'b3'), S('b3' | 'a3'), "
       "R('a4' | 'b4'), S('b4' | 'a4')");
   Query q = Q("R(x | y), not S(y | x)");
-  db.blocks();  // parent index: built once, here
-  uint64_t before = Database::IndexBuildCount();
+  Symbol r = InternSymbol("R");
+  Symbol s = InternSymbol("S");
+  std::vector<DataComponent> components = DecomposeData(q, db);
+  ASSERT_EQ(components.size(), 4u);
+  size_t facts = 0;
+  for (const DataComponent& c : components) {
+    EXPECT_EQ(c.db.use_count(), 1);
+    EXPECT_EQ(c.db->NumBlocks(), c.blocks);
+    EXPECT_EQ(c.db->NumFacts(), c.facts);
+    EXPECT_EQ(c.db->BlocksOf(r).size() + c.db->BlocksOf(s).size(), c.blocks);
+    EXPECT_NE(c.db->FactsOf(r).data(), db.FactsOf(r).data());
+    facts += c.facts;
+  }
+  EXPECT_EQ(facts, db.NumFacts());
+
+  const Tuple* parent_r = db.FactsOf(r).data();
+  const DbFingerprint parent_fp = FingerprintDatabase(db);
   ParallelOptions popts;
   popts.parallelism = 8;
   Result<ParallelReport> first = SolveCertainParallel(q, db, popts);
   ASSERT_TRUE(first.ok()) << first.error();
-  ASSERT_EQ(first->components, 4);
-  uint64_t after_first = Database::IndexBuildCount();
-  EXPECT_EQ(after_first - before, 4u)
-      << "expected exactly one index build per component sub-database";
-  // A second solve decomposes afresh (4 new sub-databases) but must still
-  // reuse the parent's index rather than rebuilding it under the hood.
+  EXPECT_EQ(first->components, 4);
   Result<ParallelReport> second = SolveCertainParallel(q, db, popts);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(Database::IndexBuildCount() - after_first, 4u)
-      << "parent index was silently rebuilt on re-solve";
+  ASSERT_TRUE(second.ok()) << second.error();
+  EXPECT_EQ(second->certain, first->certain);
+  EXPECT_EQ(db.FactsOf(r).data(), parent_r);
+  EXPECT_EQ(FingerprintDatabase(db), parent_fp);
 }
 
 // ---------------------------------------------------------------------------

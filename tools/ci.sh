@@ -78,6 +78,17 @@ daemon_smoke() {
   printf 'R(a | b), R(a | c)\nS(b | a)\n' > "$work/facts"
   printf 'R(x | y)\nR(x | y), not S(y | x)\n' > "$work/queries"
 
+  # An FO formula whose atoms disagree with the database's signatures must
+  # fail as a typed parse error (exit 1), not crash the evaluator.
+  echo "==== [daemon] evalfo schema mismatch exits 1 with both signatures"
+  printf 'R(a), S(b | a), R(c)\n' > "$work/mismatch.facts"
+  local fo_rc=0
+  "$cli" evalfo "exists x y. R(x | y) & !S(y | x)" "$work/mismatch.facts" \
+      > /dev/null 2> "$work/evalfo.err" || fo_rc=$?
+  [ "$fo_rc" -eq 1 ] || { echo "evalfo exited $fo_rc (expected 1)"; exit 1; }
+  grep -q "R\[2,1\] in the formula but R\[1,1\] in the database" \
+      "$work/evalfo.err"
+
   echo "==== [daemon] start"
   "$cli" serve "$work/facts" --listen=127.0.0.1:0 --workers=2 \
       > "$work/daemon.log" 2>&1 &

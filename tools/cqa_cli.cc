@@ -496,6 +496,8 @@ int CmdEvalFo(const char* text, const Database& db, Budget* budget) {
     return Fail("formula has free variables: " +
                 (*f)->FreeVars().ToString());
   }
+  Result<bool> fits = CheckFoAgainst(f.value(), db.schema());
+  if (!fits.ok()) return Fail(fits);
   Result<bool> holds = EvalFoGoverned(f.value(), db, budget);
   if (!holds.ok()) return Fail(holds);
   std::printf("%s\n", holds.value() ? "true" : "false");

@@ -162,6 +162,7 @@ int CheckParsers(const std::string& input, const Database& db) {
     return 0;
   }
   if (!(*f)->FreeVars().empty()) return 0;
+  if (!CheckFoAgainst(f.value(), db.schema()).ok()) return 0;
   Budget tight = Budget::WithMaxSteps(64);
   Result<bool> holds = EvalFoGoverned(f.value(), db, &tight);
   if (!holds.ok() && !IsResourceCode(holds.code())) {
@@ -389,12 +390,12 @@ Query RenameVariables(const Query& q, uint64_t salt) {
 // an epoch produced by incremental mutation must match a from-scratch
 // reparse of the same facts byte-for-byte.
 std::string ComponentSignature(const Database& db) {
-  const std::vector<Database::Block>& blocks = db.blocks();
   const Database::ComponentIndex& ci = db.BlockComponents();
   std::vector<std::vector<std::string>> groups(ci.num_components);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    groups[ci.component_of_block[b]].push_back(
-        SymbolName(blocks[b].relation) + TupleToString(blocks[b].key));
+  for (size_t b = 0; b < db.NumBlocks(); ++b) {
+    const Database::Block& block = db.block(static_cast<int>(b));
+    groups[ci.component_of_block[b]].push_back(SymbolName(block.relation) +
+                                               TupleToString(block.key));
   }
   for (std::vector<std::string>& g : groups) std::sort(g.begin(), g.end());
   std::sort(groups.begin(), groups.end());
@@ -728,8 +729,10 @@ int main(int argc, char** argv) {
                                l.atom.terms().size());
       }
       std::vector<std::string> pool;
-      for (const Database::Block& b : base.blocks()) {
-        for (Value v : b.key) pool.push_back(v.name());
+      for (const RelationSchema& rs : base.schema().relations()) {
+        for (const Database::Block& b : base.BlocksOf(rs.name)) {
+          for (Value v : b.key) pool.push_back(v.name());
+        }
       }
       for (int f = 0; f < 4; ++f) {
         pool.push_back("fz" + std::to_string(round) + "_" + std::to_string(f));
