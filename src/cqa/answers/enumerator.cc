@@ -13,10 +13,12 @@ Result<AnswerChunk> EnumerateAnswerChunk(const Query& q,
                                          const EnumerateOptions& options,
                                          Budget* budget) {
   using Out = Result<AnswerChunk>;
-  if (options.method == SolverMethod::kSampling) {
+  const Engine* engine = FindEngine(options.method);
+  if (engine != nullptr && engine->answer == EngineAnswer::kSampled) {
     return Out::Error(ErrorCode::kUnsupported,
-                      "answer enumeration needs exact verdicts; sampling "
-                      "cannot soundly include or exclude a candidate");
+                      "answer enumeration needs exact verdicts; " +
+                          ToString(options.method) +
+                          " cannot soundly include or exclude a candidate");
   }
   // Position i is the i-th candidate in spelling order, so positions
   // enumerate tuples in exactly the order `ComputeCertainAnswers` returns

@@ -13,26 +13,6 @@
 
 namespace cqa {
 
-std::string ToString(SolverMethod m) {
-  switch (m) {
-    case SolverMethod::kAuto:
-      return "auto";
-    case SolverMethod::kRewriting:
-      return "fo-rewriting";
-    case SolverMethod::kAlgorithm1:
-      return "algorithm1";
-    case SolverMethod::kBacktracking:
-      return "backtracking";
-    case SolverMethod::kNaive:
-      return "naive";
-    case SolverMethod::kMatchingQ1:
-      return "matching-q1";
-    case SolverMethod::kSampling:
-      return "sampling";
-  }
-  return "?";
-}
-
 std::string ToString(Verdict v) {
   switch (v) {
     case Verdict::kCertain:
@@ -73,127 +53,125 @@ Result<bool> RunStage(SolveReport* report, SolverMethod method, Budget* budget,
   return r;
 }
 
-// Dispatches a backtracking/naive solve to the component-decomposed
-// parallel engine, folding its accounting into the report.
-Result<bool> RunParallel(SolverMethod method, const Query& q,
-                         const Database& db, Budget* budget, int parallelism,
-                         uint64_t* native_steps, SolveReport* report) {
+// Runs a row's engine per component on the parallel solver, folding its
+// accounting into the report.
+Result<bool> RunParallel(SolverMethod method, EngineCall* call,
+                         int parallelism, SolveReport* report) {
   ParallelOptions popts;
   popts.parallelism = parallelism;
   popts.method = method;
-  popts.budget = budget;
-  Result<ParallelReport> r = SolveCertainParallel(q, db, popts);
+  popts.budget = call->budget;
+  Result<ParallelReport> r = SolveCertainParallel(call->q, call->db, popts);
   if (!r.ok()) return Result<bool>::Error(r);
-  *native_steps = r->steps;
+  call->steps = r->steps;
   report->parallelism = parallelism;
   report->components = r->components;
   report->steals = r->steals;
   return r->certain;
 }
 
-// Runs one exact (or matching) solver with the budget threaded through.
-// A non-null `warm` supplies memoized rewritings and a cross-request
-// Algorithm-1 arena; `warm_key` is the query's alpha-canonical key.
-// `parallelism > 1` reroutes the exponential engines (backtracking, naive)
-// through the component-decomposed parallel solver; `report` receives its
-// accounting (components, steals).
-Result<bool> RunExact(SolverMethod method, const Query& q, const Database& db,
-                      Budget* budget, WarmState* warm,
-                      const std::string& warm_key, int parallelism,
-                      uint64_t* native_steps, SolveReport* report) {
-  switch (method) {
-    case SolverMethod::kRewriting: {
-      if (warm == nullptr) return IsCertainByRewriting(q, db, budget);
-      // The rewriting is pure in q and its formula is closed, so one
-      // constructed solver answers for every alpha-variant of the query.
-      const WarmState::RewritingSlot& slot = warm->RewritingMemo(warm_key, q);
-      if (slot.solver == nullptr) {
-        return Result<bool>::Error(slot.code, slot.error);
-      }
-      return slot.solver->IsCertainGoverned(db, budget);
-    }
-    case SolverMethod::kAlgorithm1: {
-      Algorithm1Options opts;
-      opts.budget = budget;
-      if (warm != nullptr) opts.memo_arena = warm->Algo1Arena();
-      Algorithm1 algo(db, opts);
-      Result<bool> r = algo.IsCertain(q);
-      *native_steps = algo.calls();
-      return r;
-    }
-    case SolverMethod::kBacktracking: {
-      if (parallelism > 1) {
-        return RunParallel(method, q, db, budget, parallelism, native_steps,
-                           report);
-      }
-      BacktrackingOptions opts;
-      opts.budget = budget;
-      Result<BacktrackingReport> r = SolveCertainBacktracking(q, db, opts);
-      if (!r.ok()) return Result<bool>::Error(r);
-      *native_steps = r->nodes;
-      return r->certain;
-    }
-    case SolverMethod::kNaive: {
-      if (parallelism > 1) {
-        return RunParallel(method, q, db, budget, parallelism, native_steps,
-                           report);
-      }
-      NaiveOptions opts;
-      opts.budget = budget;
-      return IsCertainNaive(q, db, opts);
-    }
-    case SolverMethod::kMatchingQ1: {
-      std::optional<bool> r = IsCertainQ1ByMatching(q, db);
-      if (!r.has_value()) {
-        return Result<bool>::Error(
-            ErrorCode::kUnsupported,
-            "query is not q1 plus self-covering negated atoms, the class "
-            "the matching solver requires");
-      }
-      return *r;
-    }
-    case SolverMethod::kAuto:
-    case SolverMethod::kSampling:
-      break;
+// The sequential runners of the `CQA_ENGINES` rows.
+
+Result<bool> RunRewriting(EngineCall* call) {
+  if (call->warm == nullptr) {
+    return IsCertainByRewriting(call->q, call->db, call->budget);
   }
-  return Result<bool>::Error(ErrorCode::kInternal, "invalid solver method");
+  // The rewriting is pure in q and its formula is closed, so one
+  // constructed solver answers for every alpha-variant of the query.
+  const WarmState::RewritingSlot& slot =
+      call->warm->RewritingMemo(*call->warm_key, call->q);
+  if (slot.solver == nullptr) return Result<bool>::Error(slot.code, slot.error);
+  return slot.solver->IsCertainGoverned(call->db, call->budget);
 }
 
-// The sampling stage: never fails on deadline/step exhaustion — it reports
-// whatever it saw, qualified by the verdict. Only cancellation escapes as
-// an error.
-Result<SolveReport> RunSampling(const Query& q, const Database& db,
-                                const SolveOptions& options, Budget* budget,
-                                SolveReport report) {
-  Rng rng(options.sampling_seed);
-  SampleEstimate est;
-  uint64_t native_steps = 0;
-  Result<bool> r = RunStage(
-      &report, SolverMethod::kSampling, budget, &native_steps,
-      [&]() -> Result<bool> {
-        est = EstimateCertainty(q, db, options.max_samples, &rng, budget);
-        native_steps = est.samples;
-        if (est.stopped == ErrorCode::kCancelled) {
-          return Result<bool>::Error(ErrorCode::kCancelled,
-                                     "sampling cancelled by caller");
-        }
-        return !est.refuted;
-      });
+Result<bool> RunAlgorithm1(EngineCall* call) {
+  Algorithm1Options opts;
+  opts.budget = call->budget;
+  if (call->warm != nullptr) opts.memo_arena = call->warm->Algo1Arena();
+  Algorithm1 algo(call->db, opts);
+  Result<bool> r = algo.IsCertain(call->q);
+  call->steps = algo.calls();
+  return r;
+}
+
+Result<bool> RunMatchingQ1(EngineCall* call) {
+  std::optional<bool> r = IsCertainQ1ByMatching(call->q, call->db);
+  if (!r.has_value()) {
+    return Result<bool>::Error(
+        ErrorCode::kUnsupported,
+        "query is not q1 plus self-covering negated atoms, the class "
+        "the matching solver requires");
+  }
+  return *r;
+}
+
+Result<bool> RunBacktracking(EngineCall* call) {
+  BacktrackingOptions opts;
+  opts.budget = call->budget;
+  Result<BacktrackingReport> r =
+      SolveCertainBacktracking(call->q, call->db, opts);
+  if (!r.ok()) return Result<bool>::Error(r);
+  call->steps = r->nodes;
+  return r->certain;
+}
+
+Result<bool> RunNaive(EngineCall* call) {
+  const uint64_t before = call->budget != nullptr ? call->budget->steps() : 0;
+  NaiveOptions opts;
+  opts.budget = call->budget;
+  Result<bool> r = IsCertainNaive(call->q, call->db, opts);
+  if (call->budget != nullptr) call->steps = call->budget->steps() - before;
+  return r;
+}
+
+// Never fails on deadline/step exhaustion: it reports whatever it saw.
+// Only cancellation escapes as an error.
+Result<bool> RunSampling(EngineCall* call) {
+  Rng rng(call->sampling_seed);
+  SampleEstimate est = EstimateCertainty(call->q, call->db, call->max_samples,
+                                         &rng, call->budget);
+  call->steps = est.samples;
+  if (est.stopped == ErrorCode::kCancelled) {
+    return Result<bool>::Error(ErrorCode::kCancelled,
+                               "sampling cancelled by caller");
+  }
+  return !est.refuted;
+}
+
+#define CQA_ENGINE_ROW(method, name, alias, scope, cost, answer, split, role, \
+                       run)                                                  \
+  Engine{SolverMethod::method, name, alias, EngineScope::scope,              \
+         EngineCost::cost, EngineAnswer::answer, EngineSplit::split,         \
+         EngineRole::role, run},
+constexpr Engine kEngines[] = {CQA_ENGINES(CQA_ENGINE_ROW)};
+#undef CQA_ENGINE_ROW
+
+// `kAuto`: the first production row whose scope accepts q.
+SolverMethod AutoEngine(const Query& q, const Classification& c) {
+  for (const Engine& e : kEngines) {
+    if (e.role == EngineRole::kProduction && e.Accepts(q, c)) return e.method;
+  }
+  return SolverMethod::kAuto;  // no row accepts: FindEngine fails it
+}
+
+// Runs a sampled row as the solve's (last) stage and qualifies its verdict.
+Result<SolveReport> RunSampledStage(const Engine& engine, EngineCall* call,
+                                    SolveReport report) {
+  Result<bool> r = RunStage(&report, engine.method, call->budget, &call->steps,
+                            [&] { return engine.run(call); });
   if (!r.ok()) return Result<SolveReport>::Error(r);
-  report.used = SolverMethod::kSampling;
-  report.samples = est.samples;
-  if (est.refuted) {
+  report.used = engine.method;
+  report.samples = call->steps;
+  report.certain = false;  // never *exactly* decided
+  if (!r.value()) {
     // A falsifying sample is a definitive refutation.
-    report.certain = false;
     report.verdict = Verdict::kNotCertain;
     report.confidence = 1.0;
-  } else if (est.samples > 0) {
-    report.certain = false;  // not *exactly* decided
+  } else if (report.samples > 0) {
     report.verdict = Verdict::kProbablyCertain;
-    report.confidence = static_cast<double>(est.samples + 1) /
-                        static_cast<double>(est.samples + 2);
+    report.confidence = static_cast<double>(report.samples + 1) /
+                        static_cast<double>(report.samples + 2);
   } else {
-    report.certain = false;
     report.verdict = Verdict::kExhausted;
     report.confidence = 0.0;
   }
@@ -201,6 +179,40 @@ Result<SolveReport> RunSampling(const Query& q, const Database& db,
 }
 
 }  // namespace
+
+std::string ToString(SolverMethod m) {
+  if (m == SolverMethod::kAuto) return "auto";
+  const Engine* e = FindEngine(m);
+  return e != nullptr ? e->name : "?";
+}
+
+Result<SolverMethod> ParseSolverMethod(const std::string& name) {
+  if (name.empty() || name == "auto") return SolverMethod::kAuto;
+  for (const Engine& e : kEngines) {
+    if (name == e.name || name == e.alias) return e.method;
+  }
+  return Result<SolverMethod>::Error(ErrorCode::kUnsupported,
+                                     "unknown method '" + name + "'");
+}
+
+bool Engine::Accepts(const Query& q, const Classification& c) const {
+  switch (scope) {
+    case EngineScope::kFoClass:
+      return c.cls == CertaintyClass::kFO;
+    case EngineScope::kMatchingClass:
+      return DetectQ1Shape(q).has_value();
+    case EngineScope::kAnyQuery:
+      return true;
+  }
+  return false;
+}
+
+std::span<const Engine> Engines() { return kEngines; }
+
+const Engine* FindEngine(SolverMethod m) {
+  const size_t i = static_cast<size_t>(m);
+  return i >= 1 && i <= std::size(kEngines) ? &kEngines[i - 1] : nullptr;
+}
 
 Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
                                    SolverMethod method) {
@@ -222,19 +234,23 @@ Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
     report.classification = Classify(q);
   }
 
-  if (options.method == SolverMethod::kSampling) {
-    return RunSampling(q, db, options, options.budget, std::move(report));
+  const SolverMethod chosen = options.method == SolverMethod::kAuto
+                                  ? AutoEngine(q, report.classification)
+                                  : options.method;
+  const Engine* engine = FindEngine(chosen);
+  if (engine == nullptr) {
+    return Result<SolveReport>::Error(ErrorCode::kInternal,
+                                      "invalid solver method");
   }
-
-  SolverMethod chosen = options.method;
-  if (chosen == SolverMethod::kAuto) {
-    if (report.classification.cls == CertaintyClass::kFO) {
-      chosen = SolverMethod::kAlgorithm1;
-    } else if (DetectQ1Shape(q).has_value()) {
-      chosen = SolverMethod::kMatchingQ1;
-    } else {
-      chosen = SolverMethod::kBacktracking;
-    }
+  EngineCall call{.q = q,
+                  .db = db,
+                  .budget = options.budget,
+                  .warm = options.warm,
+                  .warm_key = &warm_key,
+                  .max_samples = options.max_samples,
+                  .sampling_seed = options.sampling_seed};
+  if (engine->answer == EngineAnswer::kSampled) {
+    return RunSampledStage(*engine, &call, std::move(report));
   }
   report.used = chosen;
 
@@ -256,11 +272,14 @@ Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
     exact_budget = &exact_storage;
   }
 
-  uint64_t native_steps = 0;
+  call.budget = exact_budget;
   Result<bool> r =
-      RunStage(&report, chosen, exact_budget, &native_steps, [&] {
-        return RunExact(chosen, q, db, exact_budget, options.warm, warm_key,
-                        options.parallelism, &native_steps, &report);
+      RunStage(&report, chosen, exact_budget, &call.steps, [&] {
+        if (options.parallelism > 1 &&
+            engine->split == EngineSplit::kComponents) {
+          return RunParallel(chosen, &call, options.parallelism, &report);
+        }
+        return engine->run(&call);
       });
   if (r.ok()) {
     report.certain = r.value();
@@ -286,7 +305,10 @@ Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
     sampling_storage.fail_after_probes = options.budget->fail_after_probes;
     sampling_budget = &sampling_storage;
   }
-  return RunSampling(q, db, options, sampling_budget, std::move(report));
+  call.budget = sampling_budget;
+  call.steps = 0;
+  return RunSampledStage(*FindEngine(SolverMethod::kSampling), &call,
+                         std::move(report));
 }
 
 }  // namespace cqa

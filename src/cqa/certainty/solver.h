@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,23 +17,118 @@
 
 namespace cqa {
 
-/// Strategy for `SolveCertainty`.
-enum class SolverMethod {
-  /// Classify first: FO queries go through Algorithm 1; hard queries in the
-  /// matching class (`DetectQ1Shape`: q1 plus self-covering negated atoms)
-  /// use the polynomial matching solver; everything else uses the
-  /// exact backtracking search. Under a budget, exhaustion of the exact
-  /// solver degrades to Monte-Carlo sampling (see `SolveOptions`).
-  kAuto,
-  kRewriting,    // build + evaluate the FO rewriting (requires FO class)
-  kAlgorithm1,   // direct Algorithm 1 interpreter (requires FO class)
-  kBacktracking, // exact branch-and-prune over blocks (any query)
-  kNaive,        // full repair enumeration (any query; oracle)
-  kMatchingQ1,   // Hopcroft–Karp (requires the DetectQ1Shape class)
-  kSampling,     // Monte-Carlo repair sampling (any query; approximate)
-};
+class WarmState;
+
+/// The solver engines, one row each (docs/THEORY.md, "Engine table"):
+///   X(method, name, alias, scope, cost, answer, split, role, runner)
+///
+/// - `name` is the spelling `ToString` reports; `ParseSolverMethod` also
+///   accepts `alias` ("" for none).
+/// - `scope` is the applicability check (`Engine::Accepts`). An explicit
+///   method outside its scope fails with the engine's own typed error.
+/// - `cost`: `ShouldIsolate` forks a query no polynomial exact row accepts.
+/// - `answer`: answer enumeration refuses a sampled row.
+/// - `split`: with `SolveOptions::parallelism > 1`, a kComponents row runs
+///   per component on the work-stealing pool (cqa/parallel/).
+/// - `role`: `kAuto` runs the first kProduction row whose scope accepts
+///   the query, so row order is dispatch order; kOracle rows run only when
+///   named.
+/// - `runner` (solver.cc) runs the engine sequentially, for
+///   `SolveCertainty` and for the parallel solver's component tasks.
+///
+/// Adding an engine is one row plus its runner.
+#define CQA_ENGINES(X)                                                    \
+  /* Lemma 6.1: build the consistent FO rewriting, then evaluate it. */   \
+  X(kRewriting, "fo-rewriting", "rewriting", kFoClass, kPolynomial,      \
+    kExact, kWhole, kOracle, RunRewriting)                                \
+  /* Algorithm 1: decide the FO class directly on the database. */        \
+  X(kAlgorithm1, "algorithm1", "", kFoClass, kPolynomial, kExact, kWhole, \
+    kProduction, RunAlgorithm1)                                           \
+  /* Hopcroft–Karp over the uncovered R-blocks (docs/THEORY.md). */       \
+  X(kMatchingQ1, "matching-q1", "", kMatchingClass, kPolynomial, kExact,  \
+    kWhole, kProduction, RunMatchingQ1)                                   \
+  /* Exact branch-and-prune over the blocks of the query's relations. */  \
+  X(kBacktracking, "backtracking", "", kAnyQuery, kExponential, kExact,   \
+    kComponents, kProduction, RunBacktracking)                            \
+  /* Full repair enumeration: the definitional oracle. */                 \
+  X(kNaive, "naive", "", kAnyQuery, kExponential, kExact, kComponents,    \
+    kOracle, RunNaive)                                                    \
+  /* Monte-Carlo repair sampling; also `kAuto`'s degradation stage. */    \
+  X(kSampling, "sampling", "", kAnyQuery, kPolynomial, kSampled, kWhole,  \
+    kOracle, RunSampling)
+
+#define CQA_ENGINE_ENUMERATOR(method, ...) method,
+/// Strategy for `SolveCertainty`: `kAuto` (classify, then dispatch; under
+/// a budget an exhausted exact engine degrades to sampling, see
+/// `SolveOptions`) or one engine by name.
+enum class SolverMethod { kAuto, CQA_ENGINES(CQA_ENGINE_ENUMERATOR) };
+#undef CQA_ENGINE_ENUMERATOR
+
+#define CQA_ENGINE_METHOD(method, ...) SolverMethod::method,
+/// Every method, `kAuto` first, in enumerator order.
+inline constexpr SolverMethod kSolverMethods[] = {
+    SolverMethod::kAuto, CQA_ENGINES(CQA_ENGINE_METHOD)};
+#undef CQA_ENGINE_METHOD
 
 std::string ToString(SolverMethod m);
+
+/// Parses a `--method=` or wire `method` name: "" or "auto", a row's name
+/// or its alias. Unknown names fail with `kUnsupported`.
+Result<SolverMethod> ParseSolverMethod(const std::string& name);
+
+/// The engine table's column types (see `CQA_ENGINES`).
+enum class EngineScope {
+  kFoClass,        // Theorem 4.3's FO class, read from the classification
+  kMatchingClass,  // `DetectQ1Shape`: q1 plus self-covering negated atoms
+  kAnyQuery,
+};
+enum class EngineCost { kPolynomial, kExponential };
+enum class EngineAnswer { kExact, kSampled };
+enum class EngineSplit { kWhole, kComponents };
+enum class EngineRole { kProduction, kOracle };
+
+/// One engine run: its inputs, and the work it reports back.
+struct EngineCall {
+  const Query& q;
+  const Database& db;
+  Budget* budget = nullptr;
+  /// Optional warm state and the query's alpha-canonical key, as in
+  /// `SolveOptions::warm`.
+  WarmState* warm = nullptr;
+  const std::string* warm_key = nullptr;
+  /// Sampled rows: draw cap and seed, from `SolveOptions`.
+  uint64_t max_samples = 0;
+  uint64_t sampling_seed = 0;
+  /// Out: solver-native work units (search nodes, Algorithm-1 calls,
+  /// governor steps of naive, samples drawn). A stage left at 0 records
+  /// the governor's step delta instead.
+  uint64_t steps = 0;
+};
+
+/// One row of `CQA_ENGINES`.
+struct Engine {
+  SolverMethod method;
+  const char* name;
+  const char* alias;
+  EngineScope scope;
+  EngineCost cost;
+  EngineAnswer answer;
+  EngineSplit split;
+  EngineRole role;
+  /// Exact rows return the verdict. A sampled row returns false when a
+  /// draw refuted q and true otherwise, with `steps` draws made.
+  Result<bool> (*run)(EngineCall* call);
+
+  /// The applicability check. Reads the caller's classification of `q`
+  /// and never classifies again.
+  bool Accepts(const Query& q, const Classification& c) const;
+};
+
+/// The rows, in table order.
+std::span<const Engine> Engines();
+
+/// The row of `m`; null for `kAuto`.
+const Engine* FindEngine(SolverMethod m);
 
 /// How much the answer of `SolveCertainty` can be trusted.
 enum class Verdict {
@@ -52,7 +148,6 @@ enum class Verdict {
 
 std::string ToString(Verdict v);
 
-class WarmState;
 struct AnswerChunk;
 
 /// Execution knobs for `SolveCertainty`.
@@ -77,11 +172,11 @@ struct SolveOptions {
   uint64_t sampling_seed = 0x5eedu;
   /// Worker count for component-decomposed solving (cqa/parallel/). At 1
   /// (the default) the plain sequential engines run — this is the parity
-  /// baseline. Above 1, the backtracking and naive engines (explicit or
-  /// via `kAuto` fallthrough) decompose the instance into independent
-  /// sub-problems solved on a work-stealing pool of this width; the
-  /// verdict is always identical to the sequential one. Polynomial
-  /// engines (FO, matching) ignore this knob.
+  /// baseline. Above 1, an engine whose row splits into components
+  /// (backtracking, naive; explicit or chosen by `kAuto`) decomposes the
+  /// instance into independent sub-problems solved on a work-stealing pool
+  /// of this width; the verdict is always identical to the sequential
+  /// one. The other engines ignore this knob.
   int parallelism = 1;
 };
 

@@ -1,6 +1,7 @@
 #include "cqa/fo/fo_parser.h"
 
 #include <cctype>
+#include <string>
 
 namespace cqa {
 
@@ -135,6 +136,20 @@ class FoParser {
                                 std::to_string(lex_.pos()));
   }
 
+  // Parses one nesting level with `parse`. The grammar recurses once per
+  // level, so the cap bounds the parser's stack.
+  template <typename Parse>
+  Result<FoPtr> Nested(Parse&& parse) {
+    if (depth_ == kMaxFoNesting) {
+      return Err("formula nested deeper than " +
+                 std::to_string(kMaxFoNesting) + " levels");
+    }
+    ++depth_;
+    Result<FoPtr> r = parse();
+    --depth_;
+    return r;
+  }
+
   Result<Term> ParseTerm() {
     char c = lex_.Peek();
     if (c == '\'') {
@@ -170,7 +185,7 @@ class FoParser {
     }
     if (!lex_.Consume('.')) return Err("expected '.' after quantifier");
     if (vars.empty()) return Err("quantifier binds no variables");
-    Result<FoPtr> body = Quantified();
+    Result<FoPtr> body = Nested([this] { return Quantified(); });
     if (!body.ok()) return body;
     return exists ? FoExists(vars, body.value())
                   : FoForall(vars, body.value());
@@ -182,7 +197,8 @@ class FoParser {
     if (lex_.Peek() == '-' && lex_.PeekAt(1) == '>') {
       lex_.Consume('-');
       lex_.Consume('>');
-      Result<FoPtr> rhs = Implies();  // right associative
+      // Right associative.
+      Result<FoPtr> rhs = Nested([this] { return Implies(); });
       if (!rhs.ok()) return rhs;
       return FoImplies(lhs.value(), rhs.value());
     }
@@ -223,12 +239,12 @@ class FoParser {
     }
     if (lex_.Peek() == '!' && lex_.PeekAt(1) != '=') {
       lex_.Consume('!');
-      Result<FoPtr> inner = Unary();
+      Result<FoPtr> inner = Nested([this] { return Unary(); });
       if (!inner.ok()) return inner;
       return FoNot(inner.value());
     }
     if (lex_.Consume('(')) {
-      Result<FoPtr> inner = Quantified();
+      Result<FoPtr> inner = Nested([this] { return Quantified(); });
       if (!inner.ok()) return inner;
       if (!lex_.Consume(')')) return Err("expected ')'");
       return inner;
@@ -285,6 +301,7 @@ class FoParser {
   }
 
   FoLexer lex_;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -23,6 +23,11 @@ namespace cqa {
 ///
 /// Identifiers are variables inside terms; atom key separators follow the
 /// query parser's convention (no "|" → all-key).
+///
+/// Each parenthesis, negation, quantifier body and implication right-hand
+/// side opens one nesting level. Input nested deeper than `kMaxFoNesting`
+/// levels fails with `kParse`, so parsing needs bounded stack.
+inline constexpr int kMaxFoNesting = 128;
 Result<FoPtr> ParseFo(std::string_view text);
 
 }  // namespace cqa

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "cqa/certainty/backtracking.h"
-#include "cqa/certainty/naive.h"
 #include "cqa/parallel/decompose.h"
 #include "cqa/parallel/pool.h"
 
@@ -39,31 +37,14 @@ struct GroupState {
   int total_components = 0;
 };
 
-Result<bool> RunEngine(SolverMethod method, const Query& q,
-                       const Database& db, Budget* budget, uint64_t* steps) {
-  if (method == SolverMethod::kNaive) {
-    NaiveOptions opts;
-    opts.budget = budget;
-    Result<bool> r = IsCertainNaive(q, db, opts);
-    *steps = budget->steps();
-    return r;
-  }
-  BacktrackingOptions opts;
-  opts.budget = budget;
-  Result<BacktrackingReport> r = SolveCertainBacktracking(q, db, opts);
-  if (!r.ok()) return Result<bool>::Error(r);
-  *steps = r->nodes;
-  return r->certain;
-}
-
 }  // namespace
 
 Result<ParallelReport> SolveCertainParallel(const Query& q,
                                             const Database& db,
                                             const ParallelOptions& options) {
   using R = Result<ParallelReport>;
-  if (options.method != SolverMethod::kBacktracking &&
-      options.method != SolverMethod::kNaive) {
+  const Engine* engine = FindEngine(options.method);
+  if (engine == nullptr || engine->split != EngineSplit::kComponents) {
     return R::Error(ErrorCode::kUnsupported,
                     "parallel solving supports the backtracking and naive "
                     "engines only (got " +
@@ -156,9 +137,9 @@ Result<ParallelReport> SolveCertainParallel(const Query& q,
       }
       Budget child = proto;
       child.cancel = &group.stop;
-      Result<bool> r =
-          RunEngine(options.method, *task.query, *task.db, &child,
-                    &slot.steps);
+      EngineCall call{.q = *task.query, .db = *task.db, .budget = &child};
+      Result<bool> r = engine->run(&call);
+      slot.steps = call.steps;
       slot.ran = true;
       if (!r.ok()) {
         slot.error = r.code();

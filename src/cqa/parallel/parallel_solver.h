@@ -19,10 +19,10 @@ struct ParallelOptions {
   /// engine (the byte-for-byte parity baseline) route through
   /// `SolveOptions::parallelism == 1`, which never enters this solver.
   int parallelism = 2;
-  /// Engine run per component: `kBacktracking` (default) or `kNaive`.
-  /// Everything else is rejected with `kUnsupported` — the FO and
-  /// matching engines are polynomial, where forking per component costs
-  /// more than it saves.
+  /// Engine run per component: a row of `CQA_ENGINES` whose split is
+  /// `kComponents` (backtracking, the default, or naive). Everything else
+  /// is rejected with `kUnsupported`: on a polynomial engine, forking per
+  /// component costs more than it saves.
   SolverMethod method = SolverMethod::kBacktracking;
   /// Parent governor. Deadline, remaining step allowance, and the fault
   /// knobs are snapshotted *by value* into every component task's child

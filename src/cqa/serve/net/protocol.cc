@@ -38,20 +38,6 @@ Result<WireRequest> ParseError(const std::string& message) {
 
 }  // namespace
 
-Result<SolverMethod> ParseSolverMethod(const std::string& name) {
-  if (name.empty() || name == "auto") return SolverMethod::kAuto;
-  if (name == "rewriting" || name == "fo-rewriting") {
-    return SolverMethod::kRewriting;
-  }
-  if (name == "algorithm1") return SolverMethod::kAlgorithm1;
-  if (name == "backtracking") return SolverMethod::kBacktracking;
-  if (name == "naive") return SolverMethod::kNaive;
-  if (name == "matching-q1") return SolverMethod::kMatchingQ1;
-  if (name == "sampling") return SolverMethod::kSampling;
-  return Result<SolverMethod>::Error(ErrorCode::kUnsupported,
-                                     "unknown method '" + name + "'");
-}
-
 Result<WireRequest> DecodeRequest(const std::string& frame) {
   Result<Json> parsed = Json::Parse(frame);
   if (!parsed.ok()) return Result<WireRequest>::Error(parsed);

@@ -121,9 +121,6 @@ struct WireRequest {
   uint64_t seq = 0;
 };
 
-/// Parses `--method=`-style names shared by the CLI and the wire protocol.
-Result<SolverMethod> ParseSolverMethod(const std::string& name);
-
 /// Decodes one request frame. Failures are typed: `kParse` for malformed
 /// JSON or missing/mistyped fields, `kUnsupported` for an unknown request
 /// type or solver method. Either way the *frame* failed, not the

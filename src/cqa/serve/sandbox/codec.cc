@@ -185,7 +185,7 @@ bool DecodeOutcome(const std::string& data, Result<SolveReport>* out) {
     return false;
   }
   if (verdict > static_cast<uint8_t>(Verdict::kExhausted)) return false;
-  if (used > static_cast<uint8_t>(SolverMethod::kSampling)) return false;
+  if (used >= std::size(kSolverMethods)) return false;
   rep.verdict = static_cast<Verdict>(verdict);
   rep.certain = certain != 0;
   std::memcpy(&rep.confidence, &conf_bits, sizeof(rep.confidence));
@@ -215,7 +215,7 @@ bool DecodeOutcome(const std::string& data, Result<SolveReport>* out) {
         !r.GetU8(&err) || !r.GetU64(&steps) || !r.GetU64(&elapsed)) {
       return false;
     }
-    if (method > static_cast<uint8_t>(SolverMethod::kSampling)) return false;
+    if (method >= std::size(kSolverMethods)) return false;
     st.method = static_cast<SolverMethod>(method);
     st.ok = st_ok != 0;
     if (has_err != 0) {

@@ -12,9 +12,7 @@
 #include <cstring>
 #include <new>
 
-#include "cqa/attack/classification.h"
 #include "cqa/base/interner.h"
-#include "cqa/certainty/matching_q1.h"
 #include "cqa/serve/sandbox/codec.h"
 
 namespace cqa {
@@ -122,13 +120,13 @@ std::optional<IsolationMode> ParseIsolationMode(const std::string& s) {
   return std::nullopt;
 }
 
-bool ShouldIsolate(const Query& q) {
-  // The tractable islands: an FO classification solves by rewriting in
-  // polynomial time, and a query in the matching class (q1 plus
-  // self-covering negated atoms) solves by matching. Everything else may
-  // hand the exact solvers an exponential search.
-  if (Classify(q).cls == CertaintyClass::kFO) return false;
-  if (DetectQ1Shape(q).has_value()) return false;
+bool ShouldIsolate(const Query& q, const Classification& c) {
+  for (const Engine& e : Engines()) {
+    if (e.cost == EngineCost::kPolynomial &&
+        e.answer == EngineAnswer::kExact && e.Accepts(q, c)) {
+      return false;
+    }
+  }
   return true;
 }
 

@@ -62,12 +62,11 @@ std::string ToString(IsolationMode m);
 /// Parses "auto" | "inproc" | "fork" (as used on the wire and the CLI).
 std::optional<IsolationMode> ParseIsolationMode(const std::string& s);
 
-/// True when policy says `q` deserves fork isolation under `kAuto`: the
-/// query is not in the FO island and not in the matching class of
-/// `DetectQ1Shape` (q1 plus self-covering negated atoms), so the exact
-/// solvers may take exponential time and hard preemption is the only reclaim
-/// guarantee.
-bool ShouldIsolate(const Query& q);
+/// True when policy says `q` deserves fork isolation under `kAuto`: no
+/// polynomial exact row of `CQA_ENGINES` accepts it (given `c`, the
+/// caller's classification of `q`), so the exact solvers may take
+/// exponential time and hard preemption is the only reclaim guarantee.
+bool ShouldIsolate(const Query& q, const Classification& c);
 
 /// Hard limits enforced by the supervisor on a forked solve.
 struct SandboxLimits {

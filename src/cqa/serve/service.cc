@@ -6,6 +6,7 @@
 #include "cqa/answers/answer_chunk.h"
 #include "cqa/answers/cursor.h"
 #include "cqa/answers/enumerator.h"
+#include "cqa/cache/query_key.h"
 #include "cqa/cache/warm_state.h"
 
 namespace cqa {
@@ -286,7 +287,8 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
   // Isolation is a property of the request, decided once: the job's
   // explicit choice wins; `kAuto` defers to the service policy, whose own
   // `kAuto` escalates to a sandbox for coNP-risk queries (classification
-  // is polynomial and dwarfed by any solve it gates).
+  // is polynomial, memoized per worker, and dwarfed by any solve it
+  // gates).
   bool use_fork = false;
   IsolationMode mode = req->job.isolation != IsolationMode::kAuto
                            ? req->job.isolation
@@ -294,7 +296,10 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
   if (mode == IsolationMode::kFork) {
     use_fork = true;
   } else if (mode == IsolationMode::kAuto) {
-    use_fork = ShouldIsolate(req->job.query);
+    const Query& q = req->job.query;
+    use_fork = ShouldIsolate(
+        q, warm != nullptr ? warm->ClassifyMemo(CanonicalQueryKey(q), q)
+                           : Classify(q));
   }
   // Answer chunks never cross the sandbox result pipe (its codec carries
   // verdicts, not tuple sets): answers jobs always run in-process. The

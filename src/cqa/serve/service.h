@@ -213,9 +213,9 @@ struct ServiceOptions {
   /// Isolation policy for jobs that leave `ServeJob::isolation` at
   /// `kAuto`: `kInproc` (the default) runs every solve on the worker
   /// thread; `kFork` sandboxes every solve; `kAuto` escalates to a
-  /// sandbox exactly when `ShouldIsolate(q)` says the query is coNP-risk
-  /// (not FO, not in the matching class) — the traffic whose exact solvers
-  /// can wedge.
+  /// sandbox exactly when `ShouldIsolate` says the query is coNP-risk (no
+  /// polynomial engine accepts it) — the traffic whose exact solvers can
+  /// wedge.
   IsolationMode isolation = IsolationMode::kInproc;
   /// Hard limits for sandboxed solves (kill grace, RSS cap).
   SandboxLimits sandbox;

@@ -335,12 +335,6 @@ TEST(CacheDifferentialTest, EveryEngineAgreesCachedVsCold) {
   // query included: the cached path must reproduce the cold path's typed
   // error as well as its verdict (errors are never cached, so both
   // submissions re-solve and must fail identically).
-  const SolverMethod kMethods[] = {
-      SolverMethod::kAuto,         SolverMethod::kRewriting,
-      SolverMethod::kAlgorithm1,   SolverMethod::kBacktracking,
-      SolverMethod::kNaive,        SolverMethod::kMatchingQ1,
-      SolverMethod::kSampling,
-  };
   Rng rng(0xe9);
   RandomQueryOptions qopts;
   qopts.max_positive = 2;
@@ -360,7 +354,7 @@ TEST(CacheDifferentialTest, EveryEngineAgreesCachedVsCold) {
     Query q = GenerateRandomQuery(qopts, &rng);
     auto db = std::make_shared<const Database>(
         GenerateRandomDatabaseFor(q, dopts, &rng));
-    for (SolverMethod m : kMethods) {
+    for (SolverMethod m : kSolverMethods) {
       Result<SolveReport> cold = SolveCertainty(q, *db, m);
       for (int round = 0; round < 2; ++round) {
         ServeJob job(q, db);

@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <functional>
+#include <string>
 
 #include "cqa/fo/eval.h"
 #include "cqa/fo/fo_parser.h"
@@ -37,6 +41,57 @@ TEST(FoEvalTest, SchemaMismatchIsATypedParseError) {
   ASSERT_TRUE(g.ok()) << g.error();
   EXPECT_TRUE(CheckFoAgainst(g.value(), db.schema()).ok());
   EXPECT_TRUE(EvalFo(g.value(), db));
+}
+
+// Runs `fn` on a thread with a `bytes`-sized stack, so a recursion that
+// grows with the input overflows here rather than hiding in the default
+// 8 MiB main-thread stack.
+void RunOnStack(size_t bytes, const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, bytes), 0);
+  pthread_t thread;
+  void* (*trampoline)(void*) = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+}
+
+// Unoptimized and sanitizer builds grow each parser frame about threefold.
+#if defined(__OPTIMIZE__) && !defined(__SANITIZE_ADDRESS__)
+constexpr size_t kSmallStack = 256 * 1024;
+#else
+constexpr size_t kSmallStack = 1024 * 1024;
+#endif
+
+// The parser recurses once per nesting level; past the cap it fails typed
+// instead of overflowing the stack (both inputs used to exit with 139).
+TEST(FoEvalTest, DeepNestingIsATypedParseErrorOnASmallStack) {
+  const std::string core = "exists x y. R(x | y)";
+  const std::string parens =
+      std::string(60'000, '(') + core + std::string(60'000, ')');
+  const std::string negations = std::string(120'000, '!') + core;
+  const std::string at_cap = std::string(kMaxFoNesting - 1, '(') + core +
+                             std::string(kMaxFoNesting - 1, ')');
+  const std::string depth = std::to_string(kMaxFoNesting);
+  RunOnStack(kSmallStack, [&] {
+    for (const std::string* text : {&parens, &negations}) {
+      Result<FoPtr> f = ParseFo(*text);
+      ASSERT_FALSE(f.ok());
+      EXPECT_EQ(f.code(), ErrorCode::kParse);
+      EXPECT_NE(f.error().find("nested deeper than " + depth),
+                std::string::npos)
+          << f.error();
+    }
+    Result<FoPtr> ok = ParseFo(at_cap);
+    ASSERT_TRUE(ok.ok()) << ok.error();
+    EXPECT_TRUE(EvalFo(ok.value(), Db("R(a | b)")));
+  });
 }
 
 TEST(FoEvalTest, GroundAtoms) {

@@ -127,20 +127,13 @@ CleanHistory(const std::vector<FactDelta>& deltas) {
   return {fps, current};
 }
 
-// The full engine roster: recovered and clean databases must agree on
-// every engine's outcome (verdict when it answers, error code when the
-// query is outside the engine's fragment).
-const SolverMethod kAllMethods[] = {
-    SolverMethod::kAuto,       SolverMethod::kRewriting,
-    SolverMethod::kAlgorithm1, SolverMethod::kBacktracking,
-    SolverMethod::kNaive,      SolverMethod::kMatchingQ1,
-    SolverMethod::kSampling,
-};
-
+// The full engine roster (`kSolverMethods`): recovered and clean
+// databases must agree on every engine's outcome (verdict when it
+// answers, error code when the query is outside the engine's fragment).
 void ExpectVerdictParity(const Database& recovered, const Database& clean) {
   Result<Query> q = ParseQuery(kQuery);
   ASSERT_TRUE(q.ok());
-  for (SolverMethod m : kAllMethods) {
+  for (SolverMethod m : kSolverMethods) {
     Result<SolveReport> a = SolveCertainty(*q, recovered, m);
     Result<SolveReport> b = SolveCertainty(*q, clean, m);
     ASSERT_EQ(a.ok(), b.ok()) << "engine " << ToString(m);

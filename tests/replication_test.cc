@@ -227,13 +227,7 @@ TEST(ReplicationServiceTest, FollowerConvergesThroughApplyEntryPoints) {
   ASSERT_TRUE(original.ok());
   Result<Query> q = ParseQuery(kQuery);
   ASSERT_TRUE(q.ok());
-  const SolverMethod methods[] = {
-      SolverMethod::kAuto,       SolverMethod::kRewriting,
-      SolverMethod::kAlgorithm1, SolverMethod::kBacktracking,
-      SolverMethod::kNaive,      SolverMethod::kMatchingQ1,
-      SolverMethod::kSampling,
-  };
-  for (SolverMethod m : methods) {
+  for (SolverMethod m : kSolverMethods) {
     Result<SolveReport> a = SolveCertainty(*q, *replica->db, m);
     Result<SolveReport> b = SolveCertainty(*q, *original->db, m);
     ASSERT_EQ(a.ok(), b.ok()) << "engine " << ToString(m);

@@ -159,6 +159,30 @@ TEST(SandboxCodecTest, CorruptEnumValuesAreRejected) {
   std::string bad_verdict = frame;
   bad_verdict[6] = '\x7f';  // verdict byte of the ok arm
   EXPECT_FALSE(DecodeOutcome(bad_verdict, &decoded));
+
+  // Method bytes are bounded by the engine table: one past the last
+  // method is rejected, the last method decodes.
+  report.stages.push_back(SolveStage{});
+  frame = EncodeOutcome(Result<SolveReport>(report));
+  const char past_end = static_cast<char>(std::size(kSolverMethods));
+  const char last = static_cast<char>(std::size(kSolverMethods) - 1);
+  const size_t used_at = 24;  // length, version, ok, verdict, certain,
+                              // confidence, samples, then `used`
+  const size_t stage_method_at = frame.size() - 20;  // the last stage
+  std::string bad_used = frame;
+  bad_used[used_at] = past_end;
+  EXPECT_FALSE(DecodeOutcome(bad_used, &decoded));
+  std::string bad_stage = frame;
+  bad_stage[stage_method_at] = past_end;
+  EXPECT_FALSE(DecodeOutcome(bad_stage, &decoded));
+  std::string last_valid = frame;
+  last_valid[used_at] = last;
+  last_valid[stage_method_at] = last;
+  ASSERT_TRUE(DecodeOutcome(last_valid, &decoded));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->used, kSolverMethods[std::size(kSolverMethods) - 1]);
+  ASSERT_EQ(decoded->stages.size(), 1u);
+  EXPECT_EQ(decoded->stages[0].method, decoded->used);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,19 +200,20 @@ TEST(SandboxPolicyTest, IsolationModeNamesRoundTrip) {
 }
 
 TEST(SandboxPolicyTest, ShouldIsolateTracksTheTractableIslands) {
+  auto Isolate = [](const Query& q) { return ShouldIsolate(q, Classify(q)); };
   // FO island: poly-time rewriting, no sandbox needed.
-  EXPECT_FALSE(ShouldIsolate(Q("R(x | y)")));
-  EXPECT_FALSE(ShouldIsolate(ChainQuery(3)));
+  EXPECT_FALSE(Isolate(Q("R(x | y)")));
+  EXPECT_FALSE(Isolate(ChainQuery(3)));
   // Matching island: q1 solves by matching in poly time (Lemma 5.2), and
   // so does q1 plus the self-covering ¬T(x | y), so auto policy keeps both
   // in-process.
-  EXPECT_FALSE(ShouldIsolate(PigeonholeQuery()));
-  EXPECT_FALSE(ShouldIsolate(PigeonholeCyclicQuery()));
+  EXPECT_FALSE(Isolate(PigeonholeQuery()));
+  EXPECT_FALSE(Isolate(PigeonholeCyclicQuery()));
   // Off-island: ¬T(y | x) is keyed by y, so the matching detector rejects
   // the query and the attack graph is cyclic — exact solvers may go
   // exponential.
-  EXPECT_TRUE(ShouldIsolate(PigeonholeBacktrackingQuery()));
-  EXPECT_TRUE(ShouldIsolate(CycleQuery(2)));
+  EXPECT_TRUE(Isolate(PigeonholeBacktrackingQuery()));
+  EXPECT_TRUE(Isolate(CycleQuery(2)));
 }
 
 TEST(SandboxPolicyTest, WireFieldParsesAndRejectsUnknownModes) {
@@ -212,45 +237,36 @@ TEST(SandboxPolicyTest, WireFieldParsesAndRejectsUnknownModes) {
 TEST(SandboxSolveTest, ForkedVerdictsMatchInprocAcrossEveryEngine) {
   Database db = Db("R(a | b), R(a | c)\nS(b | a)");
   // Per-engine fixtures: the FO-only engines get an FO query, the
-  // q1-shape engine gets q1, the universal engines get the q1 instance
+  // q1-shape engine and the universal engines get the q1 instance
   // (kNotCertain on this database — the repair {R(a|b), S(b|a)} falsifies).
-  struct Case {
-    SolverMethod method;
-    const char* query;
-  } cases[] = {
-      {SolverMethod::kAuto, "R(x | y), not S(y | x)"},
-      {SolverMethod::kRewriting, "R(x | y)"},
-      {SolverMethod::kAlgorithm1, "R(x | y)"},
-      {SolverMethod::kBacktracking, "R(x | y), not S(y | x)"},
-      {SolverMethod::kNaive, "R(x | y), not S(y | x)"},
-      {SolverMethod::kMatchingQ1, "R(x | y), not S(y | x)"},
-      {SolverMethod::kSampling, "R(x | y), not S(y | x)"},
-  };
-  for (const Case& c : cases) {
-    Query q = Q(c.query);
+  for (SolverMethod method : kSolverMethods) {
+    const Engine* engine = FindEngine(method);
+    Query q = Q(engine != nullptr && engine->scope == EngineScope::kFoClass
+                    ? "R(x | y)"
+                    : "R(x | y), not S(y | x)");
     SolveOptions inproc_opts;
-    inproc_opts.method = c.method;
+    inproc_opts.method = method;
     Result<SolveReport> inproc = SolveCertainty(q, db, inproc_opts);
 
     SandboxJob job;
-    job.method = c.method;
+    job.method = method;
     SandboxOutcome forked =
         RunSandboxedSolve(q, db, job, SandboxLimits{}, nullptr);
 
     ASSERT_EQ(inproc.ok(), forked.result.ok())
-        << ToString(c.method) << ": "
+        << ToString(method) << ": "
         << (inproc.ok() ? forked.result.error() : inproc.error());
-    ASSERT_TRUE(inproc.ok()) << ToString(c.method) << ": " << inproc.error();
+    ASSERT_TRUE(inproc.ok()) << ToString(method) << ": " << inproc.error();
     EXPECT_FALSE(forked.killed);
     EXPECT_FALSE(forked.crashed);
-    EXPECT_EQ(forked.result->verdict, inproc->verdict) << ToString(c.method);
-    EXPECT_EQ(forked.result->certain, inproc->certain) << ToString(c.method);
-    EXPECT_EQ(forked.result->used, inproc->used) << ToString(c.method);
+    EXPECT_EQ(forked.result->verdict, inproc->verdict) << ToString(method);
+    EXPECT_EQ(forked.result->certain, inproc->certain) << ToString(method);
+    EXPECT_EQ(forked.result->used, inproc->used) << ToString(method);
     // The sampling stage is seeded deterministically, so even approximate
     // verdicts agree exactly across the process boundary.
     EXPECT_EQ(forked.result->confidence, inproc->confidence)
-        << ToString(c.method);
-    EXPECT_EQ(forked.result->samples, inproc->samples) << ToString(c.method);
+        << ToString(method);
+    EXPECT_EQ(forked.result->samples, inproc->samples) << ToString(method);
   }
 }
 

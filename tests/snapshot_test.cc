@@ -97,17 +97,10 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 constexpr char kBase[] = "R(a | b), R(a | c)\nS(b | a)\nT(x | y)";
 constexpr char kQuery[] = "R(x | y), not S(y | x)";
 
-const SolverMethod kAllMethods[] = {
-    SolverMethod::kAuto,       SolverMethod::kRewriting,
-    SolverMethod::kAlgorithm1, SolverMethod::kBacktracking,
-    SolverMethod::kNaive,      SolverMethod::kMatchingQ1,
-    SolverMethod::kSampling,
-};
-
 void ExpectVerdictParity(const Database& recovered, const Database& clean) {
   Result<Query> q = ParseQuery(kQuery);
   ASSERT_TRUE(q.ok());
-  for (SolverMethod m : kAllMethods) {
+  for (SolverMethod m : kSolverMethods) {
     Result<SolveReport> a = SolveCertainty(*q, recovered, m);
     Result<SolveReport> b = SolveCertainty(*q, clean, m);
     ASSERT_EQ(a.ok(), b.ok()) << "engine " << ToString(m);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "cqa/certainty/matching_q1.h"
 #include "cqa/certainty/solver.h"
 #include "cqa/gen/random_db.h"
+#include "cqa/gen/random_query.h"
 #include "cqa/query/parser.h"
 #include "cqa/reductions/bpm.h"
 #include "cqa/reductions/q4.h"
+#include "cqa/serve/sandbox/sandbox.h"
 
 namespace cqa {
 namespace {
@@ -81,13 +84,7 @@ TEST(SolverTest, MethodErrorsAreSurfaced) {
 TEST(SolverTest, SignatureMismatchFailsTypedUnderEveryMethod) {
   Result<Database> db = Database::FromText("R(a), S(b | a), R(c)");
   ASSERT_TRUE(db.ok()) << db.error();
-  const SolverMethod methods[] = {
-      SolverMethod::kAuto,         SolverMethod::kRewriting,
-      SolverMethod::kAlgorithm1,   SolverMethod::kBacktracking,
-      SolverMethod::kNaive,        SolverMethod::kMatchingQ1,
-      SolverMethod::kSampling,
-  };
-  for (SolverMethod m : methods) {
+  for (SolverMethod m : kSolverMethods) {
     for (int parallelism : {1, 4}) {
       SolveOptions options;
       options.method = m;
@@ -127,6 +124,67 @@ TEST(SolverTest, MethodNames) {
   EXPECT_EQ(ToString(Verdict::kNotCertain), "not-certain");
   EXPECT_EQ(ToString(Verdict::kProbablyCertain), "probably-certain");
   EXPECT_EQ(ToString(Verdict::kExhausted), "exhausted");
+}
+
+// The engine table must reproduce the paper's dispatch rule, stated here
+// by hand as the oracle: the FO class (Theorem 4.3) goes to Algorithm 1;
+// otherwise the matching class (`DetectQ1Shape`) goes to matching;
+// everything else to backtracking. Fork isolation is for exactly the
+// queries neither polynomial side takes.
+TEST(EngineTableTest, AutoAndIsolationMatchThePaperRule) {
+  std::vector<Query> queries;
+  Rng rng(0xe7a61e);
+  for (int i = 0; i < 2000; ++i) {
+    queries.push_back(GenerateRandomQuery(RandomQueryOptions{}, &rng));
+  }
+  // The six shapes of property_test's MatchingClassTest.
+  for (const char* text : {"R(x | y), not S(y | x)",
+                           "R(x | y), not S(y | x), not T(x | y)",
+                           "R(x | y), not S(y | x), not T(x | y), not U(x)",
+                           "R(x | y), not S(y | x), not U(x)",
+                           "R(x | y), not S(y | x), not T(x | x)",
+                           "R(x | y), not S(y | x), not T(x | y, x)"}) {
+    queries.push_back(Q(text));
+  }
+  const Database empty{Schema()};
+  int fo_queries = 0, matching_queries = 0, other_queries = 0;
+  for (const Query& q : queries) {
+    const Classification c = Classify(q);
+    const bool fo = c.cls == CertaintyClass::kFO;
+    const bool matching = !fo && DetectQ1Shape(q).has_value();
+    const SolverMethod rule = fo         ? SolverMethod::kAlgorithm1
+                              : matching ? SolverMethod::kMatchingQ1
+                                         : SolverMethod::kBacktracking;
+    Result<SolveReport> r = SolveCertainty(q, empty);
+    ASSERT_TRUE(r.ok()) << q.ToString() << ": " << r.error();
+    EXPECT_EQ(ToString(r->used), ToString(rule)) << q.ToString();
+    EXPECT_EQ(ShouldIsolate(q, c), !fo && !matching) << q.ToString();
+    ++(fo ? fo_queries : matching ? matching_queries : other_queries);
+  }
+  // Every branch of the rule is exercised.
+  EXPECT_GT(fo_queries, 0);
+  EXPECT_GE(matching_queries, 6);
+  EXPECT_GT(other_queries, 0);
+}
+
+TEST(EngineTableTest, NamesAndAliasesRoundTrip) {
+  EXPECT_EQ(*ParseSolverMethod(ToString(SolverMethod::kAuto)),
+            SolverMethod::kAuto);
+  ASSERT_EQ(Engines().size() + 1, std::size(kSolverMethods));
+  for (const Engine& e : Engines()) {
+    EXPECT_EQ(FindEngine(e.method), &e) << e.name;
+    EXPECT_EQ(ToString(e.method), e.name);
+    Result<SolverMethod> by_name = ParseSolverMethod(e.name);
+    ASSERT_TRUE(by_name.ok()) << by_name.error();
+    EXPECT_EQ(*by_name, e.method) << e.name;
+    if (*e.alias != '\0') {
+      Result<SolverMethod> by_alias = ParseSolverMethod(e.alias);
+      ASSERT_TRUE(by_alias.ok()) << by_alias.error();
+      EXPECT_EQ(*by_alias, e.method) << e.alias;
+    }
+  }
+  EXPECT_EQ(FindEngine(SolverMethod::kAuto), nullptr);
+  EXPECT_EQ(ParseSolverMethod("rewriting-q1").code(), ErrorCode::kUnsupported);
 }
 
 }  // namespace

@@ -89,6 +89,57 @@ daemon_smoke() {
   grep -q "R\[2,1\] in the formula but R\[1,1\] in the database" \
       "$work/evalfo.err"
 
+  # Deep nesting is a typed parse error naming the cap (exit 1), not a
+  # stack overflow (139).
+  echo "==== [daemon] evalfo on 60000 parentheses and 120000 negations exits 1"
+  printf 'R(a | b)\n' > "$work/one.facts"
+  local deep
+  for deep in \
+      "$(printf '%.0s(' $(seq 60000))exists x y. R(x | y)$(printf '%.0s)' $(seq 60000))" \
+      "$(printf '%.0s!' $(seq 120000))exists x y. R(x | y)"; do
+    fo_rc=0
+    "$cli" evalfo "$deep" "$work/one.facts" > /dev/null 2> "$work/deep.err" \
+        || fo_rc=$?
+    [ "$fo_rc" -eq 1 ] || { echo "evalfo exited $fo_rc (expected 1)"; exit 1; }
+    grep -q "nested deeper than 128 levels" "$work/deep.err"
+  done
+
+  # `cqa_cli solve` under every accepted method spelling keeps its exit
+  # code, stdout and stderr (engine, classification and stage lines, with
+  # the timings stripped) on q1 and on R(x | y) over a three-fact database.
+  # One line per solve; `#` separates its output lines.
+  echo "==== [daemon] solve output under every method spelling"
+  local query method solve_rc
+  for query in "R(x | y), not S(y | x)" "R(x | y)"; do
+    for method in auto rewriting fo-rewriting algorithm1 backtracking naive \
+                  matching-q1 sampling; do
+      solve_rc=0
+      "$cli" solve "$query" "$work/facts" --method="$method" \
+          > "$work/solve.out" 2> "$work/solve.err" || solve_rc=$?
+      { echo "$query --method=$method: exit $solve_rc"; cat "$work/solve.out"
+        sed -E 's/, [0-9]+ us/, <t> us/' "$work/solve.err"; } | paste -sd '#'
+    done
+  done > "$work/engines.out"
+  diff -u - "$work/engines.out" <<'EXPECTED' \
+      || { echo "cqa_cli solve output changed"; exit 1; }
+R(x | y), not S(y | x) --method=auto: exit 5#not certain#-- solved with matching-q1; classification: NL-hard (not in FO)#-- stage matching-q1: ok, 0 steps, <t> us
+R(x | y), not S(y | x) --method=rewriting: exit 1#error: the attack graph of the query is cyclic; CERTAINTY(q) is not in FO (Theorem 4.3(1))
+R(x | y), not S(y | x) --method=fo-rewriting: exit 1#error: the attack graph of the query is cyclic; CERTAINTY(q) is not in FO (Theorem 4.3(1))
+R(x | y), not S(y | x) --method=algorithm1: exit 1#error: cyclic attack graph: CERTAINTY(q) not in FO
+R(x | y), not S(y | x) --method=backtracking: exit 5#not certain#-- solved with backtracking; classification: NL-hard (not in FO)#-- stage backtracking: ok, 3 steps, <t> us
+R(x | y), not S(y | x) --method=naive: exit 5#not certain#-- solved with naive; classification: NL-hard (not in FO)#-- stage naive: ok, 0 steps, <t> us
+R(x | y), not S(y | x) --method=matching-q1: exit 5#not certain#-- solved with matching-q1; classification: NL-hard (not in FO)#-- stage matching-q1: ok, 0 steps, <t> us
+R(x | y), not S(y | x) --method=sampling: exit 5#not certain#-- solved with sampling; classification: NL-hard (not in FO)#-- stage sampling: ok, 1 steps, <t> us
+R(x | y) --method=auto: exit 0#certain#-- solved with algorithm1; classification: in FO#-- stage algorithm1: ok, 4 steps, <t> us
+R(x | y) --method=rewriting: exit 0#certain#-- solved with fo-rewriting; classification: in FO#-- stage fo-rewriting: ok, 0 steps, <t> us
+R(x | y) --method=fo-rewriting: exit 0#certain#-- solved with fo-rewriting; classification: in FO#-- stage fo-rewriting: ok, 0 steps, <t> us
+R(x | y) --method=algorithm1: exit 0#certain#-- solved with algorithm1; classification: in FO#-- stage algorithm1: ok, 4 steps, <t> us
+R(x | y) --method=backtracking: exit 0#certain#-- solved with backtracking; classification: in FO#-- stage backtracking: ok, 3 steps, <t> us
+R(x | y) --method=naive: exit 0#certain#-- solved with naive; classification: in FO#-- stage naive: ok, 0 steps, <t> us
+R(x | y) --method=matching-q1: exit 1#error: query is not q1 plus self-covering negated atoms, the class the matching solver requires
+R(x | y) --method=sampling: exit 0#probably certain (confidence 0.9999 after 10000 samples)#-- solved with sampling; classification: in FO#-- stage sampling: ok, 10000 steps, <t> us
+EXPECTED
+
   echo "==== [daemon] start"
   "$cli" serve "$work/facts" --listen=127.0.0.1:0 --workers=2 \
       > "$work/daemon.log" 2>&1 &

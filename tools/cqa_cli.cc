@@ -5,8 +5,8 @@
 //   cqa_cli sql      "P(x | y), not N('c' | y)"
 //   cqa_cli dot      "R(x | y), not S(y | x)"
 //   cqa_cli solve    "<query>" db.facts [--witness]
-//                    [--method=auto|rewriting|algorithm1|backtracking|
-//                     naive|matching-q1|sampling]
+//                    [--method=auto|fo-rewriting|rewriting|algorithm1|
+//                     matching-q1|backtracking|naive|sampling]
 //                    [--timeout-ms=N] [--max-nodes=N] [--parallelism=N]
 //   cqa_cli answers  "<query>" db.facts --free=x,y [--max-chunk=N]
 //                    [--timeout-ms=N] [--max-nodes=N]
@@ -338,24 +338,12 @@ int CmdDot(const Query& q) {
   return 0;
 }
 
-// Maps a --method= value onto SolverMethod; false on an unknown name.
-// The name table itself lives in the wire protocol (ParseSolverMethod) so
-// the CLI and the daemon always accept the same spellings.
-bool ParseMethod(const std::string& method, SolverMethod* out) {
-  Result<SolverMethod> m = ParseSolverMethod(method);
-  if (!m.ok()) return false;
-  *out = *m;
-  return true;
-}
-
 int CmdSolve(const Query& q, const Database& db, const std::string& method,
              bool want_witness, Budget* budget, int parallelism) {
-  SolverMethod m = SolverMethod::kAuto;
-  if (!ParseMethod(method, &m)) {
-    return Fail("unknown method '" + method + "'");
-  }
+  Result<SolverMethod> m = ParseSolverMethod(method);
+  if (!m.ok()) return Fail(m);
   SolveOptions options;
-  options.method = m;
+  options.method = *m;
   options.budget = budget;
   options.parallelism = parallelism;
   Result<SolveReport> report = SolveCertainty(q, db, options);
@@ -1186,10 +1174,9 @@ int CmdServe(int argc, char** argv, const char* db_path) {
       return Fail(std::string("malformed ") + flag.name + " value");
     }
   }
-  SolverMethod method = SolverMethod::kAuto;
-  if (!ParseMethod(FlagValue(argc, argv, "--method"), &method)) {
-    return Fail("unknown method '" + FlagValue(argc, argv, "--method") + "'");
-  }
+  Result<SolverMethod> method =
+      ParseSolverMethod(FlagValue(argc, argv, "--method"));
+  if (!method.ok()) return Fail(method);
 
   ServiceOptions options;
   options.workers = static_cast<int>(flags[0].value);
@@ -1249,7 +1236,7 @@ int CmdServe(int argc, char** argv, const char* db_path) {
       continue;
     }
     ServeJob job(std::move(q.value()), shared_db);
-    job.method = method;
+    job.method = *method;
     job.max_steps = flags[6].value;
     uint64_t job_line = line_no;
     auto callback = [&, job_line](const ServeResponse& response) {

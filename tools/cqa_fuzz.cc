@@ -1,8 +1,9 @@
 // cqa_fuzz — randomized differential tester. Runs forever-ish (bounded by
 // --rounds), generating random weakly-guarded queries and random databases
-// and cross-checking every applicable solver against the repair-enumeration
-// oracle, plus the two FO evaluation engines against each other. Also fuzzes
-// the fact/query/FO parsers with mutated and garbage inputs (--parse-rounds)
+// and cross-checking every exact engine whose scope accepts the query (the
+// `CQA_ENGINES` table) against the repair-enumeration oracle, plus the two
+// FO evaluation engines against each other. Also fuzzes the fact/query/FO
+// parsers with mutated, garbage and deeply nested inputs (--parse-rounds)
 // and evaluates whatever parses under a tight execution budget, asserting
 // that only typed errors ever escape (kParse from the parsers; resource
 // codes from governed evaluation). A third phase (--wire-rounds) throws
@@ -520,6 +521,16 @@ int main(int argc, char** argv) {
       int rc = CheckParsers(input, pdb.value());
       if (rc != 0) return rc;
     }
+    // Nesting far past the FO parser's cap must fail typed, not overflow
+    // the stack.
+    const std::string core = "exists x y. R(x | y)";
+    for (const std::string& deep :
+         {std::string(60'000, '(') + core + std::string(60'000, ')'),
+          std::string(120'000, '!') + core}) {
+      if (ParseFo(deep).ok()) return BadInput(core, "deep nesting parsed");
+      int rc = CheckParsers(deep, pdb.value());
+      if (rc != 0) return rc;
+    }
   }
 
   // Phase 2: wire-protocol robustness — random frame streams through the
@@ -866,19 +877,16 @@ int main(int argc, char** argv) {
       if (!oracle.ok()) continue;
       ++checks;
 
-      Result<bool> bt = IsCertainBacktracking(q, db);
-      if (!bt.ok() || bt.value() != oracle.value()) {
-        return Reproducer(q, db, "backtracking vs naive");
+      // Every exact row of the engine table whose scope accepts q.
+      for (const Engine& e : Engines()) {
+        if (e.answer != EngineAnswer::kExact || !e.Accepts(q, cls)) continue;
+        Result<SolveReport> r = SolveCertainty(q, db, e.method);
+        if (!r.ok() || r->certain != oracle.value()) {
+          return Reproducer(q, db, (std::string(e.name) + " vs naive").c_str());
+        }
       }
       if (rewriting.has_value()) {
-        if (rewriting->IsCertain(db) != oracle.value()) {
-          return Reproducer(q, db, "rewriting vs naive");
-        }
-        Result<bool> a1 = IsCertainAlgorithm1(q, db);
-        if (!a1.ok() || a1.value() != oracle.value()) {
-          return Reproducer(q, db, "algorithm1 vs naive");
-        }
-        // Third engine: algebra evaluation of the rewriting.
+        // Algebra evaluation of the rewriting.
         Result<bool> algebra =
             EvalFoAlgebraBool(rewriting->rewriting().formula, db);
         if (!algebra.ok() || algebra.value() != oracle.value()) {
