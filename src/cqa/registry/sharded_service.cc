@@ -12,39 +12,103 @@ ShardedSolveService::~ShardedSolveService() {
   Shutdown(std::chrono::milliseconds(0));
 }
 
-Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
-    const std::string& name, std::shared_ptr<const Database> db) {
-  using R = Result<DatabaseRegistry::Entry>;
-  if (!accepting_.load(std::memory_order_acquire)) {
-    return R::Error(ErrorCode::kOverloaded,
-                    "registry is shutting down; attach refused");
+bool ShardedSolveService::ValidName(const std::string& name) {
+  if (name.empty() || name.size() > 64) return false;
+  for (char c : name) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+              (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
+    if (!ok) return false;
   }
+  return true;
+}
 
-  // Crash recovery runs before the registry attach, so a diverging or
-  // unreadable journal/snapshot leaves nothing attached. Recovery is
-  // snapshot-first: load `<name>.snapshot` (verifying that its facts hash
-  // to the fingerprint it was stamped with), then replay only the journal
-  // records newer than its epoch — records at or below it are leftovers of
-  // a compaction whose truncate was lost to a crash, skipped by their
-  // epoch stamp. Without a snapshot the whole journal replays over the
-  // caller's base, as in PR 7. Each replayed record's fingerprint must
-  // match the one journaled at append time: a mismatch means the base is
-  // not what the journal was written against (or the journal lies), and
-  // serving from it would silently resurrect pre-crash state.
-  uint64_t recovered_epoch = 0;
-  DeltaIdWindow window(options_.delta_id_window);
-  std::unique_ptr<DeltaJournal> journal;
-  uint64_t recovered_snapshot_bytes = 0;
-  uint64_t recovered_snapshot_epoch = 0;
-  if (!options_.journal_dir.empty()) {
-    if (!DatabaseRegistry::ValidName(name)) {
+Result<ShardedSolveService::Entry> ShardedSolveService::Attach(
+    const std::string& name, std::shared_ptr<const Database> db) {
+  if (db == nullptr) {
+    return Result<Entry>::Error(ErrorCode::kInternal,
+                                "attach of a null database");
+  }
+  return AttachShard(name, [&](const ShardPtr& shard) {
+    shard->db = std::move(db);
+    return RecoverFromFiles(shard);
+  });
+}
+
+Result<ShardedSolveService::Entry> ShardedSolveService::Attach(
+    const std::string& name, Database db) {
+  return Attach(name, std::make_shared<const Database>(std::move(db)));
+}
+
+Result<ShardedSolveService::Entry> ShardedSolveService::AttachShard(
+    const std::string& name,
+    const std::function<Result<bool>(const ShardPtr&)>& recover) {
+  using R = Result<Entry>;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!accepting_.load(std::memory_order_acquire)) {
+      return R::Error(ErrorCode::kOverloaded,
+                      "registry is shutting down; attach refused");
+    }
+    if (!ValidName(name)) {
       return R::Error(ErrorCode::kUnsupported,
                       "invalid database name '" + name +
                           "' (1-64 chars from [A-Za-z0-9_.-])");
     }
-    if (db == nullptr) {
-      return R::Error(ErrorCode::kInternal, "attach of a null database");
+    auto [it, claimed] = shards_.emplace(name, nullptr);
+    if (!claimed) {
+      const char* why = it->second == nullptr ? "is already being attached"
+                        : it->second->detaching.load(std::memory_order_acquire)
+                            ? "is still detaching"
+                            : "is already attached";
+      return R::Error(ErrorCode::kUnsupported,
+                      "database '" + name + "' " + why);
     }
+  }
+  auto shard = std::make_shared<Shard>();
+  shard->name = name;
+  shard->applied_delta_ids = DeltaIdWindow(options_.delta_id_window);
+  Result<bool> recovered = recover(shard);
+  if (recovered.ok()) {
+    shard->service = std::make_unique<SolveService>(options_.shard);
+  }
+  bool published = false;
+  bool is_default = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Checked again under the lock `Shutdown` takes to list the shards:
+    // a shard published here is either in that list or never published.
+    published = recovered.ok() && accepting_.load(std::memory_order_acquire);
+    if (published) {
+      shards_[name] = shard;
+      if (default_name_.empty()) default_name_ = name;
+      is_default = default_name_ == name;
+    } else {
+      shards_.erase(name);  // release the claim
+    }
+  }
+  if (!recovered.ok()) return R::Error(recovered);
+  if (!published) {
+    return R::Error(ErrorCode::kOverloaded,
+                    "registry is shutting down; attach refused");
+  }
+  BootstrapListenersOnAttach(shard);
+  return EntryOf(shard, is_default);
+}
+
+Result<bool> ShardedSolveService::RecoverFromFiles(const ShardPtr& shard) {
+  using R = Result<bool>;
+  // The shard is not published yet, so its fields need no lock. Recovery
+  // is snapshot-first: load `<name>.snapshot` (verifying that its facts
+  // hash to the fingerprint it was stamped with), then replay only the
+  // journal records newer than its epoch — records at or below it are
+  // leftovers of a compaction whose truncate was lost to a crash, skipped
+  // by their epoch stamp. Without a snapshot the whole journal replays
+  // over the caller's base. Each replayed record's fingerprint must match
+  // the one journaled at append time: a mismatch means the base is not
+  // what the journal was written against (or the journal lies), and
+  // serving from it would silently resurrect pre-crash state.
+  const std::string& name = shard->name;
+  if (!options_.journal_dir.empty()) {
     Result<SnapshotReadResult> snap =
         ReadSnapshotFile(SnapshotFilePath(name));
     if (!snap.ok()) return R::Error(snap);
@@ -66,12 +130,13 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
                             snap->data.fingerprint.ToHex() +
                             ") — refusing to serve from it");
       }
-      db = snapshot_db;  // the snapshot supersedes the caller's base facts
-      recovered_epoch = snap->data.epoch;
-      recovered_snapshot_epoch = snap->data.epoch;
-      recovered_snapshot_bytes = snap->file_bytes;
+      // The snapshot supersedes the caller's base facts.
+      shard->db = snapshot_db;
+      shard->epoch = snap->data.epoch;
+      shard->last_snapshot_epoch = snap->data.epoch;
+      shard->last_snapshot_bytes = snap->file_bytes;
       for (const auto& [id, ep] : snap->data.delta_ids) {
-        window.Insert(id, ep);
+        shard->applied_delta_ids.Insert(id, ep);
       }
     }
 
@@ -88,18 +153,19 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
       // Pre-epoch records (epoch 0) replay positionally, exactly as
       // before epochs existed; stamped records can be skipped when the
       // snapshot already covers them.
-      uint64_t rec_epoch =
-          rec.epoch != 0 ? rec.epoch : recovered_epoch + 1;
-      if (rec_epoch <= recovered_epoch) continue;
-      if (rec_epoch != recovered_epoch + 1) {
+      uint64_t rec_epoch = rec.epoch != 0 ? rec.epoch : shard->epoch + 1;
+      if (rec_epoch <= shard->epoch) continue;
+      if (rec_epoch != shard->epoch + 1) {
         return R::Error(ErrorCode::kInternal,
                         "journal replay of '" + name +
                             "' has an epoch gap at record " +
                             std::to_string(ordinal) + ": have epoch " +
-                            std::to_string(recovered_epoch) +
+                            std::to_string(shard->epoch) +
                             ", record claims " + std::to_string(rec_epoch));
       }
-      if (replayed == nullptr) replayed = std::make_shared<Database>(*db);
+      if (replayed == nullptr) {
+        replayed = std::make_shared<Database>(*shard->db);
+      }
       Result<DeltaApplyOutcome> applied =
           ApplyDeltaInPlace(replayed.get(), rec.delta);
       if (!applied.ok()) {
@@ -117,43 +183,17 @@ Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
                 " != journaled " + rec.fp_after.ToHex() +
                 " — wrong base snapshot for this journal?");
       }
-      recovered_epoch = rec_epoch;
-      window.Insert(rec.delta.id, rec_epoch);
+      shard->epoch = rec_epoch;
+      shard->applied_delta_ids.Insert(rec.delta.id, rec_epoch);
     }
-    if (replayed != nullptr) db = std::move(replayed);
+    if (replayed != nullptr) shard->db = std::move(replayed);
     Result<std::unique_ptr<DeltaJournal>> opened =
         DeltaJournal::Open(path, options_.journal);
     if (!opened.ok()) return R::Error(opened);
-    journal = std::move(opened.value());
+    shard->journal = std::move(opened.value());
   }
-
-  // The registry is the arbiter of names: a duplicate or invalid name
-  // fails here before any worker thread is spawned. It also pays for the
-  // block index + fingerprint precomputation.
-  Result<std::shared_ptr<const Database>> attached = registry_.Attach(name, db);
-  if (!attached.ok()) return R::Error(attached);
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->db = *attached;
-  shard->fingerprint = FingerprintDatabase(**attached);
-  shard->epoch = recovered_epoch;
-  shard->applied_delta_ids = std::move(window);
-  shard->journal = std::move(journal);
-  shard->last_snapshot_bytes = recovered_snapshot_bytes;
-  shard->last_snapshot_epoch = recovered_snapshot_epoch;
-  shard->service = std::make_unique<SolveService>(options_.shard);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // The registry rejected duplicates, so this insert cannot collide.
-    shards_.emplace(name, shard);
-  }
-  BootstrapListenersOnAttach(shard);
-  return registry_.Get(name);
-}
-
-Result<DatabaseRegistry::Entry> ShardedSolveService::Attach(
-    const std::string& name, Database db) {
-  return Attach(name, std::make_shared<const Database>(std::move(db)));
+  shard->fingerprint = FingerprintDatabase(*shard->db);
+  return true;
 }
 
 Result<DetachOutcome> ShardedSolveService::Detach(const std::string& name) {
@@ -162,7 +202,7 @@ Result<DetachOutcome> ShardedSolveService::Detach(const std::string& name) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = shards_.find(name);
-    if (it == shards_.end()) {
+    if (it == shards_.end() || it->second == nullptr) {
       return R::Error(ErrorCode::kUnsupported,
                       "database '" + name + "' is not attached");
     }
@@ -175,9 +215,9 @@ Result<DetachOutcome> ShardedSolveService::Detach(const std::string& name) {
   // From here on new submissions fail-fast with kDetached. Order matters:
   // shed the queued backlog first (typed kDetached, not a silent drop),
   // then let the in-flight solves finish inside the drain window. The
-  // shard stays in the map throughout so Cancel keeps working on the
-  // survivors; the registry keeps its reference until the drain is over,
-  // so no running solve ever observes the database disappearing.
+  // shard stays in the catalogue throughout, so Cancel keeps working on
+  // the survivors and a second attach of the name is refused until the
+  // drain is over.
   DetachOutcome out;
   out.shed = shard->service->ShedQueued(
       ErrorCode::kDetached,
@@ -198,32 +238,81 @@ Result<DetachOutcome> ShardedSolveService::Detach(const std::string& name) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     shards_.erase(name);
+    if (default_name_ == name) default_name_.clear();
   }
-  registry_.Detach(name);
   return out;
+}
+
+Result<ShardedSolveService::ShardPtr> ShardedSolveService::Lookup(
+    const std::string& db_name, bool* is_default) const {
+  using R = Result<ShardPtr>;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::string& name = db_name.empty() ? default_name_ : db_name;
+  if (name.empty()) {
+    return R::Error(ErrorCode::kDetached, "no default database attached");
+  }
+  auto it = shards_.find(name);
+  if (it == shards_.end() || it->second == nullptr) {
+    return R::Error(ErrorCode::kDetached,
+                    "database '" + name + "' is not attached");
+  }
+  if (is_default != nullptr) *is_default = name == default_name_;
+  return it->second;
 }
 
 Result<ShardedSolveService::ShardPtr> ShardedSolveService::ResolveShard(
     const std::string& db_name) const {
-  using R = Result<ShardPtr>;
-  std::string name = db_name;
-  if (name.empty()) {
-    name = registry_.DefaultName();
-    if (name.empty()) {
-      return R::Error(ErrorCode::kDetached, "no default database attached");
+  Result<ShardPtr> shard = Lookup(db_name);
+  if (shard.ok() && (*shard)->detaching.load(std::memory_order_acquire)) {
+    return Result<ShardPtr>::Error(
+        ErrorCode::kDetached, "database '" + (*shard)->name + "' is detaching");
+  }
+  return shard;
+}
+
+std::vector<ShardedSolveService::ShardPtr> ShardedSolveService::Shards(
+    std::string* default_name) const {
+  std::vector<ShardPtr> out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(shards_.size());
+    for (const auto& [name, shard] : shards_) {
+      if (shard != nullptr) out.push_back(shard);
     }
+    if (default_name != nullptr) *default_name = default_name_;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = shards_.find(name);
-  if (it == shards_.end()) {
-    return R::Error(ErrorCode::kDetached,
-                    "database '" + name + "' is not attached");
+  std::sort(out.begin(), out.end(), [](const ShardPtr& a, const ShardPtr& b) {
+    return a->name < b->name;
+  });
+  return out;
+}
+
+ShardedSolveService::Entry ShardedSolveService::EntryOf(const ShardPtr& shard,
+                                                        bool is_default) {
+  Entry e;
+  e.name = shard->name;
+  e.is_default = is_default;
+  std::lock_guard<std::mutex> lock(shard->db_mu);
+  e.db = shard->db;
+  e.fingerprint = shard->fingerprint;
+  return e;
+}
+
+Result<ShardedSolveService::Entry> ShardedSolveService::Get(
+    const std::string& name) const {
+  bool is_default = false;
+  Result<ShardPtr> shard = Lookup(name, &is_default);
+  if (!shard.ok()) return Result<Entry>::Error(shard);
+  return EntryOf(*shard, is_default);
+}
+
+std::vector<ShardedSolveService::Entry> ShardedSolveService::List() const {
+  std::string default_name;
+  std::vector<Entry> out;
+  for (const ShardPtr& shard : Shards(&default_name)) {
+    out.push_back(EntryOf(shard, shard->name == default_name));
   }
-  if (it->second->detaching.load(std::memory_order_acquire)) {
-    return R::Error(ErrorCode::kDetached,
-                    "database '" + name + "' is detaching");
-  }
-  return it->second;
+  return out;
 }
 
 Result<DeltaOutcome> ShardedSolveService::ApplyDelta(
@@ -333,7 +422,6 @@ Result<DeltaOutcome> ShardedSolveService::ApplyToShard(
     std::pair<uint64_t, uint64_t> counts = shard->service->OnDatabaseDelta(
         shard->fingerprint, applied->fingerprint, applied->touched);
 
-    registry_.Replace(shard->name, applied->db, applied->fingerprint);
     shard->db = applied->db;
     shard->fingerprint = applied->fingerprint;
     shard->epoch = next_epoch;
@@ -482,63 +570,44 @@ Result<bool> ShardedSolveService::ApplyReplicaSnapshot(
                         actual.ToHex() + " != " + fingerprint.ToHex() + ")");
   }
 
-  ShardPtr shard;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = shards_.find(name);
-    if (it != shards_.end()) shard = it->second;
+  // Checked before the lookup, which would resolve an empty name to the
+  // default.
+  if (!ValidName(name)) {
+    return R::Error(ErrorCode::kUnsupported,
+                    "invalid replicated database name '" + name + "'");
   }
-  if (shard == nullptr) {
+  Result<ShardPtr> existing = Lookup(name);
+  if (!existing.ok()) {
     // New database on the stream: attach it directly from the bootstrap —
     // the stream, not any local journal, is the source of truth here.
-    if (!accepting_.load(std::memory_order_acquire)) {
-      return R::Error(ErrorCode::kOverloaded,
-                      "registry is shutting down; attach refused");
-    }
-    if (!DatabaseRegistry::ValidName(name)) {
-      return R::Error(ErrorCode::kUnsupported,
-                      "invalid replicated database name '" + name + "'");
-    }
-    std::unique_ptr<DeltaJournal> journal;
-    if (!options_.journal_dir.empty()) {
+    Result<Entry> attached = AttachShard(name, [&](const ShardPtr& shard) -> R {
+      shard->db = db;
+      shard->fingerprint = fingerprint;
+      shard->epoch = epoch;
+      for (const auto& [id, ep] : delta_ids) {
+        shard->applied_delta_ids.Insert(id, ep);
+      }
+      if (options_.journal_dir.empty()) return true;
       Result<std::unique_ptr<DeltaJournal>> opened =
           DeltaJournal::Open(JournalPath(name), options_.journal);
       if (!opened.ok()) return R::Error(opened);
-      journal = std::move(opened.value());
-    }
-    Result<std::shared_ptr<const Database>> attached =
-        registry_.Attach(name, db);
-    if (!attached.ok()) return R::Error(attached);
-    shard = std::make_shared<Shard>();
-    shard->name = name;
-    shard->db = *attached;
-    shard->fingerprint = fingerprint;
-    shard->epoch = epoch;
-    shard->journal = std::move(journal);
-    DeltaIdWindow window(options_.delta_id_window);
-    for (const auto& [id, ep] : delta_ids) window.Insert(id, ep);
-    shard->applied_delta_ids = std::move(window);
-    shard->service = std::make_unique<SolveService>(options_.shard);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shards_.emplace(name, shard);
-    }
-    if (shard->journal != nullptr) {
+      shard->journal = std::move(opened.value());
       // Persist the bootstrap locally (snapshot + empty journal) so this
       // follower's own crash recovery — and its post-promote durability —
       // start from the replicated state, not from stale pre-follow files.
       std::lock_guard<std::mutex> lock(shard->db_mu);
       (void)TakeSnapshotLocked(shard);
-    }
-    BootstrapListenersOnAttach(shard);  // chained replication
+      return true;
+    });
+    if (!attached.ok()) return R::Error(attached);
     return true;
   }
 
   // Existing shard: the stream restarted (reconnect) — wholesale-replace
   // unless we are already at or past the bootstrap epoch.
+  const ShardPtr& shard = *existing;
   std::lock_guard<std::mutex> lock(shard->db_mu);
   if (epoch <= shard->epoch) return true;  // idempotent
-  registry_.Replace(name, db, fingerprint);
   shard->db = db;
   shard->fingerprint = fingerprint;
   shard->epoch = epoch;
@@ -566,13 +635,7 @@ uint64_t ShardedSolveService::AddReplicationListener(
   // the activation happen under one db_mu hold, so the listener can never
   // see a delta before its bootstrap — and every delta after activation
   // has an epoch the bootstrap's state already counts from.
-  std::vector<ShardPtr> shards;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards.reserve(shards_.size());
-    for (auto& [name, shard] : shards_) shards.push_back(shard);
-  }
-  for (ShardPtr& shard : shards) {
+  for (const ShardPtr& shard : Shards()) {
     std::lock_guard<std::mutex> lock(shard->db_mu);
     {
       // A concurrent Remove may have raced us: never resurrect a token.
@@ -591,13 +654,7 @@ void ShardedSolveService::RemoveReplicationListener(uint64_t token) {
     std::lock_guard<std::mutex> lock(repl_mu_);
     repl_listeners_.erase(token);
   }
-  std::vector<ShardPtr> shards;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards.reserve(shards_.size());
-    for (auto& [name, shard] : shards_) shards.push_back(shard);
-  }
-  for (ShardPtr& shard : shards) {
+  for (const ShardPtr& shard : Shards()) {
     std::lock_guard<std::mutex> lock(shard->db_mu);
     shard->repl_listeners.erase(token);
   }
@@ -662,41 +719,21 @@ Result<uint64_t> ShardedSolveService::Submit(const std::string& db_name,
 }
 
 bool ShardedSolveService::Cancel(const std::string& db_name, uint64_t id) {
-  ShardPtr shard;
-  {
-    std::string name = db_name;
-    if (name.empty()) name = registry_.DefaultName();
-    if (name.empty()) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = shards_.find(name);
-    if (it == shards_.end()) return false;
-    // Deliberately no detaching check: cancelling a survivor of a
-    // detaching shard shortens the drain.
-    shard = it->second;
-  }
-  return shard->service->Cancel(id);
+  // Deliberately no detaching check: cancelling a survivor of a detaching
+  // shard shortens the drain.
+  Result<ShardPtr> shard = Lookup(db_name);
+  return shard.ok() && (*shard)->service->Cancel(id);
 }
 
 void ShardedSolveService::CancelAll() {
-  std::vector<ShardPtr> shards;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards.reserve(shards_.size());
-    for (auto& [name, shard] : shards_) shards.push_back(shard);
-  }
-  for (ShardPtr& shard : shards) shard->service->CancelAll();
+  for (const ShardPtr& shard : Shards()) shard->service->CancelAll();
 }
 
 bool ShardedSolveService::Shutdown(std::chrono::milliseconds drain_deadline) {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
   if (shutdown_done_) return drained_result_;
   accepting_.store(false, std::memory_order_release);
-  std::vector<ShardPtr> shards;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards.reserve(shards_.size());
-    for (auto& [name, shard] : shards_) shards.push_back(shard);
-  }
+  std::vector<ShardPtr> shards = Shards();
   // Drain shards concurrently: the slowest shard bounds the wall clock.
   // Shards stay in the map (their services answer Stats after shutdown);
   // a concurrent Detach simply finds an already-shut service and drains
@@ -739,43 +776,18 @@ ServiceStats ShardedSolveService::ShardStats(const ShardPtr& shard) const {
 
 std::vector<std::pair<std::string, ServiceStats>>
 ShardedSolveService::StatsPerDb() const {
-  std::vector<std::pair<std::string, ShardPtr>> shards;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards.reserve(shards_.size());
-    for (const auto& [name, shard] : shards_) shards.emplace_back(name, shard);
-  }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::pair<std::string, ServiceStats>> out;
-  out.reserve(shards.size());
-  for (auto& [name, shard] : shards) {
-    out.emplace_back(name, ShardStats(shard));
+  for (const ShardPtr& shard : Shards()) {
+    out.emplace_back(shard->name, ShardStats(shard));
   }
   return out;
 }
 
 Result<ServiceStats> ShardedSolveService::StatsFor(
     const std::string& db_name) const {
-  std::string name = db_name;
-  if (name.empty()) {
-    name = registry_.DefaultName();
-    if (name.empty()) {
-      return Result<ServiceStats>::Error(ErrorCode::kDetached,
-                                         "no default database attached");
-    }
-  }
-  ShardPtr shard;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = shards_.find(name);
-    if (it == shards_.end()) {
-      return Result<ServiceStats>::Error(
-          ErrorCode::kDetached, "database '" + name + "' is not attached");
-    }
-    shard = it->second;
-  }
-  return ShardStats(shard);
+  Result<ShardPtr> shard = Lookup(db_name);
+  if (!shard.ok()) return Result<ServiceStats>::Error(shard);
+  return ShardStats(*shard);
 }
 
 }  // namespace cqa

@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "cqa/base/result.h"
+#include "cqa/cache/fingerprint.h"
 #include "cqa/db/database.h"
 #include "cqa/delta/delta.h"
 #include "cqa/delta/journal.h"
 #include "cqa/delta/snapshot.h"
-#include "cqa/registry/database_registry.h"
 #include "cqa/serve/service.h"
 #include "cqa/serve/stats.h"
 
@@ -68,7 +68,7 @@ struct DetachOutcome {
 /// before (idempotent replay — the ack repeats the current epoch state,
 /// nothing changed). The counters describe this application only.
 struct DeltaOutcome {
-  std::string name;      // resolved registry name
+  std::string name;      // resolved database name
   std::string delta_id;
   bool applied = true;
   uint64_t epoch = 0;    // after this delta
@@ -115,8 +115,8 @@ struct ReplicationEvent {
 /// queue and drops the stream (never the daemon) when the peer stalls.
 using ReplicationListener = std::function<void(const ReplicationEvent&)>;
 
-/// A `DatabaseRegistry` with one `SolveService` worker shard per attached
-/// database: the registry names the instances, the shards isolate them.
+/// The catalogue of attached databases, one `SolveService` worker shard
+/// per name: the catalogue names the instances, the shards isolate them.
 /// Each attach spins up a dedicated bounded queue + worker set, so a
 /// pathological (NL-hard) workload against one database saturates only its
 /// own shard — admission control, EDF ordering, retry/backoff,
@@ -124,19 +124,36 @@ using ReplicationListener = std::function<void(const ReplicationEvent&)>;
 /// traffic on a sibling shard keeps its latency.
 ///
 /// Request ids are **per shard** (each `SolveService` numbers its own);
-/// callers address work as (database name, id). An empty database name
-/// resolves to the registry default, preserving the single-database
-/// protocol.
+/// callers address work as (database name, id). The first attached
+/// instance becomes the *default*: an empty database name resolves to it,
+/// preserving the single-database protocol. Detaching the default leaves
+/// the service default-less (empty-name lookups fail with `kDetached`)
+/// until the next attach, which claims the vacancy.
 ///
 /// Lifecycle: `Detach` fail-fasts new submissions with `kDetached`, sheds
 /// the shard's queued backlog with the same code, drains in-flight solves
-/// for up to `detach_drain` (then force-cancels), and only then releases
-/// the registry's reference — in-flight work never observes the database
-/// disappearing. `Shutdown` drains every shard concurrently, so the slow
-/// shard bounds the wall clock instead of summing.
+/// for up to `detach_drain` (then force-cancels), and only then drops the
+/// name from the catalogue — in-flight work never observes the database
+/// disappearing, because every request holds its own reference to the
+/// epoch it pinned. `Shutdown` drains every shard concurrently, so the
+/// slow shard bounds the wall clock instead of summing.
 class ShardedSolveService {
  public:
   using Callback = SolveService::Callback;
+
+  /// One catalogue row, as a value snapshot (safe to hold across a detach
+  /// or a later epoch: `db` keeps the instance it names alive).
+  struct Entry {
+    std::string name;
+    std::shared_ptr<const Database> db;  // the current epoch's instance
+    DbFingerprint fingerprint;           // of `db`
+    bool is_default = false;
+  };
+
+  /// Instance names are operator-facing identifiers, not free text:
+  /// 1–64 characters from [A-Za-z0-9_.-]. (Empty is reserved for "the
+  /// default" in lookups and therefore not attachable.)
+  static bool ValidName(const std::string& name);
 
   explicit ShardedSolveService(ShardedServiceOptions options);
   ~ShardedSolveService();  // shuts down with a zero drain deadline
@@ -144,14 +161,17 @@ class ShardedSolveService {
   ShardedSolveService(const ShardedSolveService&) = delete;
   ShardedSolveService& operator=(const ShardedSolveService&) = delete;
 
-  /// Attaches a database under `name` (see `DatabaseRegistry::Attach` for
-  /// name rules) and starts its worker shard. Fails with `kUnsupported` on
-  /// invalid/duplicate names, `kOverloaded` after shutdown began.
-  Result<DatabaseRegistry::Entry> Attach(const std::string& name,
-                                         std::shared_ptr<const Database> db);
-  Result<DatabaseRegistry::Entry> Attach(const std::string& name, Database db);
+  /// Attaches a database under `name` (see `ValidName`) and starts its
+  /// worker shard. The name is claimed before any snapshot or journal file
+  /// of that name is read: an invalid name, a name that is attached,
+  /// attaching or still detaching fails with `kUnsupported`, and after
+  /// shutdown began with `kOverloaded` — each without touching the files.
+  /// A failed recovery (see `journal_dir`) releases the claim.
+  Result<Entry> Attach(const std::string& name,
+                       std::shared_ptr<const Database> db);
+  Result<Entry> Attach(const std::string& name, Database db);
 
-  /// Detaches `name`: shed queued, drain in-flight, release the instance.
+  /// Detaches `name`: shed queued, drain in-flight, drop the name.
   /// Fails with `kUnsupported` when the name is unknown or a detach of it
   /// is already in progress. Blocks for up to `detach_drain`.
   Result<DetachOutcome> Detach(const std::string& name);
@@ -226,7 +246,7 @@ class ShardedSolveService {
   /// Routes `job` to the shard of `db_name` (empty ⇒ default instance) and
   /// submits it there; `job.db` is overwritten with the attached instance.
   /// On success `*resolved_name` (when non-null) receives the shard's
-  /// registry name — callers must cancel against that name, not the alias
+  /// database name — callers must cancel against that name, not the alias
   /// they submitted with. Fails with `kDetached` for unknown/detaching
   /// names, `kOverloaded` when the shard's queue sheds.
   Result<uint64_t> Submit(const std::string& db_name, ServeJob job,
@@ -250,7 +270,7 @@ class ShardedSolveService {
   /// percentiles read from the pooled histograms).
   ServiceStats Stats() const;
 
-  /// Per-database accounting, keyed by registry name, sorted by name.
+  /// Per-database accounting, keyed by database name, sorted by name.
   /// This is where operators see which instance is cold: each shard owns
   /// its cache, so hits/misses/coalesced are inherently per-database.
   std::vector<std::pair<std::string, ServiceStats>> StatsPerDb() const;
@@ -258,14 +278,23 @@ class ShardedSolveService {
   /// One shard's accounting; fails with `kDetached` for unknown names.
   Result<ServiceStats> StatsFor(const std::string& db_name) const;
 
-  const DatabaseRegistry& registry() const { return registry_; }
+  /// Looks up an attached instance at its current epoch; the empty name
+  /// resolves to the default. Fails with `kDetached` for unknown names and
+  /// for an empty name when no default exists. A detaching instance stays
+  /// visible until its drain is over.
+  Result<Entry> Get(const std::string& name) const;
+
+  /// All attached instances at their current epochs, sorted by name.
+  std::vector<Entry> List() const;
+
   const ShardedServiceOptions& options() const { return options_; }
 
  private:
   struct Shard {
     std::string name;
     /// Current epoch's instance; guarded by `db_mu`. `Submit` copies it
-    /// into the job under the lock — that copy is the request's epoch pin.
+    /// into the job under the lock — that copy is the request's epoch pin,
+    /// and `Get`/`List` read it the same way.
     std::shared_ptr<const Database> db;
     std::unique_ptr<SolveService> service;
     /// Set at the start of `Detach`; submissions fail-fast from then on.
@@ -295,8 +324,35 @@ class ShardedSolveService {
   };
   using ShardPtr = std::shared_ptr<Shard>;
 
-  /// Resolves a request's database name to its shard (empty ⇒ default).
+  /// The one resolver: maps `db_name` (empty ⇒ the default, read under
+  /// the same `mu_` hold) to its published shard, or fails with
+  /// `kDetached`. A detaching shard still resolves; `*is_default` (when
+  /// non-null) reports whether it is the default.
+  Result<ShardPtr> Lookup(const std::string& db_name,
+                          bool* is_default = nullptr) const;
+  /// `Lookup` for new work: a detaching shard fails with `kDetached`.
   Result<ShardPtr> ResolveShard(const std::string& db_name) const;
+  /// Every published shard, sorted by name; `*default_name` (when
+  /// non-null) receives the default's name from the same `mu_` hold.
+  std::vector<ShardPtr> Shards(std::string* default_name = nullptr) const;
+  /// The catalogue row of `shard`, its epoch read under `db_mu`.
+  static Entry EntryOf(const ShardPtr& shard, bool is_default);
+
+  /// The one attach path behind `Attach` and a replicated bootstrap of a
+  /// new database. Claims `name` in the catalogue (validity, duplicates,
+  /// attach or detach in progress, shutdown) before anything touches a
+  /// file of that name; then `recover` fills the fresh shard's state (db,
+  /// fingerprint, epoch, idempotency window, journal) from the caller's
+  /// base and those files. A failed `recover` releases the claim. Then the
+  /// shard gets its workers, is published (claiming a vacant default) and
+  /// bootstraps the replication listeners.
+  Result<Entry> AttachShard(
+      const std::string& name,
+      const std::function<Result<bool>(const ShardPtr&)>& recover);
+  /// Crash recovery for `Attach` (`shard->db` holds the caller's base):
+  /// snapshot first, then the journal records newer than it, then opens
+  /// the journal for appends.
+  Result<bool> RecoverFromFiles(const ShardPtr& shard);
 
   /// The shared apply path behind `ApplyDelta` and `ApplyReplicatedDelta`:
   /// the whole locked critical section (idempotency check, apply, journal
@@ -334,13 +390,16 @@ class ShardedSolveService {
   void BootstrapListenersOnAttach(const ShardPtr& shard);
 
   ShardedServiceOptions options_;
-  DatabaseRegistry registry_;
 
   std::atomic<bool> accepting_{true};
   std::atomic<bool> read_only_{false};
 
-  mutable std::mutex mu_;  // guards shards_
+  /// The catalogue. Guards `shards_` and `default_name_`. A null shard is
+  /// a name claimed by an attach that is still recovering: it blocks a
+  /// second claim of the name and is invisible to every reader.
+  mutable std::mutex mu_;
   std::unordered_map<std::string, ShardPtr> shards_;
+  std::string default_name_;  // empty when no default is attached
 
   /// Global listener registry (for shards attached after subscription).
   /// Lock order: a shard's db_mu may be held when taking repl_mu_, never

@@ -412,7 +412,7 @@ void Connection::AdminLoop() {
 
 namespace {
 
-WireDbEntry ToWireEntry(const DatabaseRegistry::Entry& entry) {
+WireDbEntry ToWireEntry(const ShardedSolveService::Entry& entry) {
   WireDbEntry e;
   e.name = entry.name;
   e.fingerprint = entry.fingerprint.ToHex();
@@ -439,7 +439,7 @@ void Connection::HandleAttach(const WireRequest& request) {
                                        "facts: " + db.error()));
     return;
   }
-  Result<DatabaseRegistry::Entry> attached =
+  Result<ShardedSolveService::Entry> attached =
       service_->Attach(request.name, std::move(*db));
   if (!attached.ok()) {
     EnqueueFromReader(
@@ -588,7 +588,7 @@ void Connection::OnReplicationEvent(const ReplicationEvent& event) {
 
 void Connection::HandleList(const WireRequest& request) {
   std::vector<WireDbEntry> entries;
-  for (const DatabaseRegistry::Entry& entry : service_->registry().List()) {
+  for (const ShardedSolveService::Entry& entry : service_->List()) {
     entries.push_back(ToWireEntry(entry));
   }
   EnqueueFromReader(EncodeDbListFrame(request.id, entries));

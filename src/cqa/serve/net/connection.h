@@ -85,8 +85,8 @@ class DaemonStatsCollector;
 /// client disconnects.
 ///
 /// Heavy admin frames (`attach`, `detach`, `apply_delta`) run on a
-/// lazily-started per-connection admin thread: an attach pays the
-/// block-index + fingerprint precompute and a detach blocks through its
+/// lazily-started per-connection admin thread: an attach pays for parsing
+/// the facts and for the journal recovery, and a detach blocks through its
 /// shard's drain before the ack is enqueued, but neither stalls unrelated
 /// frames (solves, health, cancel) arriving on the same connection — the
 /// reader only enqueues the admin request and keeps decoding. Ordering is

@@ -35,15 +35,15 @@ SolveDaemon::SolveDaemon(DaemonOptions options)
 SolveDaemon::SolveDaemon(std::shared_ptr<const Database> db,
                          DaemonOptions options)
     : SolveDaemon(std::move(options)) {
-  // First attach: this database becomes the registry default, so solve
-  // frames without a "db" field keep their single-database semantics.
-  Result<DatabaseRegistry::Entry> attached =
+  // First attach: this database becomes the default, so solve frames
+  // without a "db" field keep their single-database semantics.
+  Result<ShardedSolveService::Entry> attached =
       service_->Attach(kDefaultDbName, std::move(db));
   assert(attached.ok());
   (void)attached;
 }
 
-Result<DatabaseRegistry::Entry> SolveDaemon::Attach(
+Result<ShardedSolveService::Entry> SolveDaemon::Attach(
     const std::string& name, std::shared_ptr<const Database> db) {
   return service_->Attach(name, std::move(db));
 }

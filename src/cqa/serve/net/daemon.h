@@ -116,9 +116,9 @@ class SolveDaemon {
   bool draining() const { return draining_.load(); }
 
   /// Attaches a database from the daemon side (CLI startup flags); the
-  /// first attach becomes the registry default.
-  Result<DatabaseRegistry::Entry> Attach(const std::string& name,
-                                         std::shared_ptr<const Database> db);
+  /// first attach becomes the default.
+  Result<ShardedSolveService::Entry> Attach(
+      const std::string& name, std::shared_ptr<const Database> db);
 
   /// Failover: stops the replication client (after this returns, no
   /// further replicated state can arrive) and makes the service writable.
@@ -137,7 +137,6 @@ class SolveDaemon {
     return service_->StatsPerDb();
   }
   DaemonStats daemon_stats() const { return stats_.Snapshot(); }
-  const DatabaseRegistry& registry() const { return service_->registry(); }
 
  private:
   void AcceptLoop();

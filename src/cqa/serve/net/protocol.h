@@ -102,7 +102,7 @@ struct WireRequest {
   uint64_t target = 0;
 
   // --- attach / detach fields ---
-  /// Registry name to attach or detach (see DatabaseRegistry::ValidName).
+  /// Database name to attach or detach (see ShardedSolveService::ValidName).
   std::string name;
   /// Inline fact text in the `ParseFacts` grammar; the attached database
   /// is built from it (the daemon never reads files on behalf of clients).

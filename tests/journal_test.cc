@@ -580,7 +580,7 @@ TEST(JournalRecoveryTest, RestartReplaysAckedDeltasAndSeedsIdempotency) {
   }
   {
     ShardedSolveService service(JournaledOptions(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));  // the base snapshot
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, acked_fp);
@@ -638,7 +638,7 @@ TEST(JournalRecoveryTest, LongSingleRelationReplayMatchesOneByOneApplication) {
     }
   }
   ShardedSolveService service(JournaledOptions(dir.path));
-  Result<DatabaseRegistry::Entry> attached =
+  Result<ShardedSolveService::Entry> attached =
       service.Attach("main", DbVal(kBase));
   ASSERT_TRUE(attached.ok()) << attached.error();
   EXPECT_EQ(attached->fingerprint, expected);
@@ -662,11 +662,43 @@ TEST(JournalRecoveryTest, WrongBaseSnapshotFailsAttachInsteadOfDiverging) {
     ShardedSolveService service(JournaledOptions(dir.path));
     // Different base: the replayed fingerprints cannot match the journal's
     // recorded ones — attaching must fail loudly, not serve wrong data.
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal("R(a | b)"));
     ASSERT_FALSE(attached.ok());
     EXPECT_EQ(attached.code(), ErrorCode::kInternal);
   }
+}
+
+TEST(JournalRecoveryTest, DuplicateAttachLeavesTheLiveJournalAlone) {
+  // A second attach of a live name (a stray wire `attach` frame) must be
+  // refused before recovery reads the name's files: replaying them would
+  // truncate the live journal's unfinished tail, and a wrong base would
+  // even fail as a divergence instead of as a duplicate.
+  TempDir dir;
+  ShardedSolveService service(JournaledOptions(dir.path));
+  ASSERT_TRUE(service.Attach("main", DbVal(kBase)).ok());
+  Result<DeltaOutcome> d1 =
+      service.ApplyDelta("main", Delta("d1", {Ins("R", {"z", "w"})}));
+  ASSERT_TRUE(d1.ok()) << d1.error();
+  const std::string path = dir.path + "/main.journal";
+  // The first 24 bytes of a record, as an append still being written
+  // leaves them.
+  const std::string live = ReadFileBytes(path);
+  WriteFileBytes(path, live + live.substr(0, 24));
+  const std::string before = ReadFileBytes(path);
+
+  for (const char* base : {kBase, "R(a | b)"}) {
+    Result<ShardedSolveService::Entry> dup =
+        service.Attach("main", DbVal(base));
+    ASSERT_FALSE(dup.ok());
+    EXPECT_EQ(dup.code(), ErrorCode::kUnsupported) << dup.error();
+    EXPECT_NE(dup.error().find("already attached"), std::string::npos)
+        << dup.error();
+    EXPECT_EQ(ReadFileBytes(path), before) << "base " << base;
+  }
+  Result<ShardedSolveService::Entry> entry = service.Get("main");
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->fingerprint, d1->fingerprint);
 }
 
 TEST(JournalRecoveryTest, CrashMidApplyRecoversToTheAckedPrefix) {
@@ -696,7 +728,7 @@ TEST(JournalRecoveryTest, CrashMidApplyRecoversToTheAckedPrefix) {
   }
   {
     ShardedSolveService service(JournaledOptions(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, fp_after_first)
@@ -710,7 +742,7 @@ TEST(JournalRecoveryTest, CrashMidApplyRecoversToTheAckedPrefix) {
     Result<DeltaApplyOutcome> clean_first =
         ApplyDeltaToDatabase(*clean, Delta("d1", {Ins("R", {"p", "q"})}));
     ASSERT_TRUE(clean_first.ok());
-    Result<DatabaseRegistry::Entry> entry = service.registry().Get("main");
+    Result<ShardedSolveService::Entry> entry = service.Get("main");
     ASSERT_TRUE(entry.ok());
     ExpectVerdictParity(*entry->db, *clean_first->db);
   }

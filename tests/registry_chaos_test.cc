@@ -141,7 +141,7 @@ TEST(RegistryChaosTest, AttachDetachChurnUnderConcurrentLoad) {
       if (!out.ok()) {
         EXPECT_EQ(out.code(), ErrorCode::kUnsupported) << out.error();
       }
-      Result<DatabaseRegistry::Entry> back =
+      Result<ShardedSolveService::Entry> back =
           service.Attach("flap", Db(kFlapFacts));
       if (!back.ok()) {
         EXPECT_EQ(back.code(), ErrorCode::kUnsupported) << back.error();

@@ -1,10 +1,10 @@
-// Unit tests for the registry subsystem: DatabaseRegistry naming /
-// ownership / default semantics, content fingerprints, and the
-// ShardedSolveService routing, detach lifecycle, and per-shard stats. The
-// centerpiece is the cross-database isolation differential: two attached
-// databases that disagree on the same query text must never serve each
-// other's verdict, cached or not. Adversarial attach/detach interleavings
-// live in registry_chaos_test.cc.
+// Unit tests for the registry subsystem: the catalogue of attached
+// databases (naming / ownership / default semantics, content
+// fingerprints), and the ShardedSolveService routing, detach lifecycle,
+// and per-shard stats. The centerpiece is the cross-database isolation
+// differential: two attached databases that disagree on the same query
+// text must never serve each other's verdict, cached or not. Adversarial
+// attach/detach interleavings live in registry_chaos_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "cqa/gen/families.h"
 #include "cqa/query/parser.h"
-#include "cqa/registry/database_registry.h"
 #include "cqa/registry/sharded_service.h"
 #include "cqa/serve/service.h"
 
@@ -48,38 +47,51 @@ constexpr char kDbB[] = "R(a | b), R(a | c)\nS(z | z)";
 constexpr char kDifferentialQuery[] = "R(x | y), not S(y | x)";
 
 // ---------------------------------------------------------------------------
-// DatabaseRegistry
+// The catalogue of attached databases
+
+// One worker per shard: these tests only attach, look up and detach.
+ShardedServiceOptions CatalogueOptions() {
+  ShardedServiceOptions options;
+  options.shard.workers = 1;
+  return options;
+}
+
+// The default instance's name; empty when none.
+std::string DefaultName(const ShardedSolveService& service) {
+  Result<ShardedSolveService::Entry> def = service.Get("");
+  return def.ok() ? def->name : "";
+}
 
 TEST(DatabaseRegistryTest, NamesAreOperatorFacingIdentifiers) {
-  EXPECT_TRUE(DatabaseRegistry::ValidName("a"));
-  EXPECT_TRUE(DatabaseRegistry::ValidName("prod-2024.v1_copy"));
-  EXPECT_TRUE(DatabaseRegistry::ValidName(std::string(64, 'x')));
-  EXPECT_FALSE(DatabaseRegistry::ValidName(""));
-  EXPECT_FALSE(DatabaseRegistry::ValidName(std::string(65, 'x')));
-  EXPECT_FALSE(DatabaseRegistry::ValidName("no/slash"));
-  EXPECT_FALSE(DatabaseRegistry::ValidName("no space"));
-  EXPECT_FALSE(DatabaseRegistry::ValidName("no\nnewline"));
+  EXPECT_TRUE(ShardedSolveService::ValidName("a"));
+  EXPECT_TRUE(ShardedSolveService::ValidName("prod-2024.v1_copy"));
+  EXPECT_TRUE(ShardedSolveService::ValidName(std::string(64, 'x')));
+  EXPECT_FALSE(ShardedSolveService::ValidName(""));
+  EXPECT_FALSE(ShardedSolveService::ValidName(std::string(65, 'x')));
+  EXPECT_FALSE(ShardedSolveService::ValidName("no/slash"));
+  EXPECT_FALSE(ShardedSolveService::ValidName("no space"));
+  EXPECT_FALSE(ShardedSolveService::ValidName("no\nnewline"));
 }
 
 TEST(DatabaseRegistryTest, FirstAttachBecomesDefault) {
-  DatabaseRegistry registry;
-  EXPECT_EQ(registry.DefaultName(), "");
-  ASSERT_TRUE(registry.Attach("a", Db(kDbA)).ok());
-  ASSERT_TRUE(registry.Attach("b", Db(kDbB)).ok());
-  EXPECT_EQ(registry.DefaultName(), "a");
-  EXPECT_EQ(registry.Size(), 2u);
+  ShardedSolveService service(CatalogueOptions());
+  EXPECT_EQ(DefaultName(service), "");
+  ASSERT_TRUE(service.Attach("a", Db(kDbA)).ok());
+  ASSERT_TRUE(service.Attach("b", Db(kDbB)).ok());
+  EXPECT_EQ(DefaultName(service), "a");
+  EXPECT_EQ(service.List().size(), 2u);
 
   // Empty-name lookup resolves to the default.
-  Result<DatabaseRegistry::Entry> def = registry.Get("");
+  Result<ShardedSolveService::Entry> def = service.Get("");
   ASSERT_TRUE(def.ok()) << def.error();
   EXPECT_EQ(def->name, "a");
   EXPECT_TRUE(def->is_default);
-  Result<DatabaseRegistry::Entry> other = registry.Get("b");
+  Result<ShardedSolveService::Entry> other = service.Get("b");
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other->is_default);
 
   // List is sorted by name and flags the default.
-  std::vector<DatabaseRegistry::Entry> all = registry.List();
+  std::vector<ShardedSolveService::Entry> all = service.List();
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].name, "a");
   EXPECT_TRUE(all[0].is_default);
@@ -87,60 +99,59 @@ TEST(DatabaseRegistryTest, FirstAttachBecomesDefault) {
 }
 
 TEST(DatabaseRegistryTest, AttachRejectsInvalidAndDuplicateNames) {
-  DatabaseRegistry registry;
-  ASSERT_TRUE(registry.Attach("a", Db(kDbA)).ok());
-  Result<std::shared_ptr<const Database>> dup = registry.Attach("a", Db(kDbB));
+  ShardedSolveService service(CatalogueOptions());
+  ASSERT_TRUE(service.Attach("a", Db(kDbA)).ok());
+  Result<ShardedSolveService::Entry> dup = service.Attach("a", Db(kDbB));
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.code(), ErrorCode::kUnsupported);
-  Result<std::shared_ptr<const Database>> bad =
-      registry.Attach("no/slash", Db(kDbB));
+  Result<ShardedSolveService::Entry> bad = service.Attach("no/slash", Db(kDbB));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.code(), ErrorCode::kUnsupported);
-  EXPECT_EQ(registry.Size(), 1u) << "failed attaches leave no trace";
+  EXPECT_EQ(service.List().size(), 1u) << "failed attaches leave no trace";
 }
 
 TEST(DatabaseRegistryTest, DetachReleasesAndVacatesTheDefault) {
-  DatabaseRegistry registry;
-  ASSERT_TRUE(registry.Attach("a", Db(kDbA)).ok());
-  ASSERT_TRUE(registry.Attach("b", Db(kDbB)).ok());
+  ShardedSolveService service(CatalogueOptions());
+  ASSERT_TRUE(service.Attach("a", Db(kDbA)).ok());
+  ASSERT_TRUE(service.Attach("b", Db(kDbB)).ok());
 
   // Detaching a non-default leaves the default alone.
-  ASSERT_TRUE(registry.Detach("b").ok());
-  EXPECT_EQ(registry.DefaultName(), "a");
+  ASSERT_TRUE(service.Detach("b").ok());
+  EXPECT_EQ(DefaultName(service), "a");
 
   // A snapshot taken before the detach keeps the instance alive.
-  Result<DatabaseRegistry::Entry> held = registry.Get("a");
+  Result<ShardedSolveService::Entry> held = service.Get("a");
   ASSERT_TRUE(held.ok());
-  Result<std::shared_ptr<const Database>> released = registry.Detach("a");
+  Result<DetachOutcome> released = service.Detach("a");
   ASSERT_TRUE(released.ok());
-  EXPECT_EQ(registry.DefaultName(), "") << "default vacated";
+  EXPECT_EQ(DefaultName(service), "") << "default vacated";
   EXPECT_EQ(held->db->NumFacts(), 3u) << "snapshot still valid post-detach";
 
-  Result<DatabaseRegistry::Entry> gone = registry.Get("a");
+  Result<ShardedSolveService::Entry> gone = service.Get("a");
   ASSERT_FALSE(gone.ok());
   EXPECT_EQ(gone.code(), ErrorCode::kDetached);
-  Result<DatabaseRegistry::Entry> no_default = registry.Get("");
+  Result<ShardedSolveService::Entry> no_default = service.Get("");
   ASSERT_FALSE(no_default.ok());
   EXPECT_EQ(no_default.code(), ErrorCode::kDetached);
-  Result<std::shared_ptr<const Database>> unknown = registry.Detach("a");
+  Result<DetachOutcome> unknown = service.Detach("a");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.code(), ErrorCode::kUnsupported);
 
   // The next attach claims the vacancy.
-  ASSERT_TRUE(registry.Attach("c", Db(kDbB)).ok());
-  EXPECT_EQ(registry.DefaultName(), "c");
+  ASSERT_TRUE(service.Attach("c", Db(kDbB)).ok());
+  EXPECT_EQ(DefaultName(service), "c");
 }
 
 TEST(DatabaseRegistryTest, FingerprintsAreContentAddressed) {
-  DatabaseRegistry registry;
-  ASSERT_TRUE(registry.Attach("a", Db(kDbA)).ok());
-  ASSERT_TRUE(registry.Attach("b", Db(kDbB)).ok());
+  ShardedSolveService service(CatalogueOptions());
+  ASSERT_TRUE(service.Attach("a", Db(kDbA)).ok());
+  ASSERT_TRUE(service.Attach("b", Db(kDbB)).ok());
   // Same content under another name and with another fact order: the
   // fingerprint is a function of content, not of spelling or identity.
-  ASSERT_TRUE(registry.Attach("a2", Db("S(b | a)\nR(a | c), R(a | b)")).ok());
-  DbFingerprint a = registry.Get("a")->fingerprint;
-  DbFingerprint b = registry.Get("b")->fingerprint;
-  DbFingerprint a2 = registry.Get("a2")->fingerprint;
+  ASSERT_TRUE(service.Attach("a2", Db("S(b | a)\nR(a | c), R(a | b)")).ok());
+  DbFingerprint a = service.Get("a")->fingerprint;
+  DbFingerprint b = service.Get("b")->fingerprint;
+  DbFingerprint a2 = service.Get("a2")->fingerprint;
   EXPECT_TRUE(a == a2);
   EXPECT_FALSE(a == b);
   EXPECT_EQ(a.ToHex().size(), 32u);
@@ -378,7 +389,7 @@ TEST(ShardedServiceTest, ShutdownStopsAttachesAndAggregatesStats) {
   ASSERT_FALSE(service.StatsFor("ghost").ok());
 
   EXPECT_TRUE(service.Shutdown(milliseconds(1'000)));
-  Result<DatabaseRegistry::Entry> late = service.Attach("c", Db(kDbA));
+  Result<ShardedSolveService::Entry> late = service.Attach("c", Db(kDbA));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.code(), ErrorCode::kOverloaded);
   // Stats stay readable after shutdown (shards are kept, not destroyed).

@@ -215,7 +215,7 @@ TEST(ReplicationServiceTest, FollowerConvergesThroughApplyEntryPoints) {
     }
   }
 
-  Result<DatabaseRegistry::Entry> replica = follower.registry().Get("main");
+  Result<ShardedSolveService::Entry> replica = follower.Get("main");
   ASSERT_TRUE(replica.ok());
   EXPECT_EQ(FingerprintDatabase(*replica->db), primary_fp);
   Result<ServiceStats> stats = follower.StatsFor("main");
@@ -223,7 +223,7 @@ TEST(ReplicationServiceTest, FollowerConvergesThroughApplyEntryPoints) {
   EXPECT_EQ(stats->epoch, deltas.size());
 
   // Verdict parity against the primary on every engine.
-  Result<DatabaseRegistry::Entry> original = primary.registry().Get("main");
+  Result<ShardedSolveService::Entry> original = primary.Get("main");
   ASSERT_TRUE(original.ok());
   Result<Query> q = ParseQuery(kQuery);
   ASSERT_TRUE(q.ok());
@@ -302,7 +302,7 @@ TEST(ReplicationServiceTest, ReadOnlyModeRefusesPrimaryWritesOnly) {
 
   // The replication entry points bypass read-only (that is their job), and
   // promotion lifts the refusal.
-  Result<DatabaseRegistry::Entry> entry = service.registry().Get("main");
+  Result<ShardedSolveService::Entry> entry = service.Get("main");
   ASSERT_TRUE(entry.ok());
   Result<DeltaApplyOutcome> next =
       ApplyDeltaToDatabase(*entry->db, Delta("r1", {Ins("R", {"x", "z"})}));
@@ -345,7 +345,7 @@ TEST(ReplicationServiceTest, FollowerPersistsReplicatedStateLocally) {
   }
   {
     ShardedSolveService recovered(options);
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         recovered.Attach("main", DbVal(kBase));
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, next->fingerprint);

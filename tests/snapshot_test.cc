@@ -274,7 +274,7 @@ TEST(SnapshotRecoveryTest, AttachLoadsSnapshotPlusTailOnly) {
     // journal would be strictly longer. Recovery over it must land on the
     // final acked fingerprint at epoch 8.
     ShardedSolveService service(Opts(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, final_fp);
@@ -291,7 +291,7 @@ TEST(SnapshotRecoveryTest, AttachLoadsSnapshotPlusTailOnly) {
       ASSERT_TRUE(out.ok());
       clean = out->db;
     }
-    Result<DatabaseRegistry::Entry> entry = service.registry().Get("main");
+    Result<ShardedSolveService::Entry> entry = service.Get("main");
     ASSERT_TRUE(entry.ok());
     ExpectVerdictParity(*entry->db, *clean);
   }
@@ -311,7 +311,7 @@ TEST(SnapshotRecoveryTest, BaseFactsAreIgnoredOnceASnapshotExists) {
     // argument attaches fine — the snapshot, not the caller, is the source
     // of truth once it exists.
     ShardedSolveService service(Opts(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal("R(zzz | qqq)"));
     ASSERT_TRUE(attached.ok()) << attached.error();
     Result<ServiceStats> stats = service.StatsFor("main");
@@ -335,7 +335,7 @@ TEST(SnapshotRecoveryTest, CorruptSnapshotRefusesAttach) {
   WriteFileBytes(snap_path, bytes);
   {
     ShardedSolveService service(Opts(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));
     ASSERT_FALSE(attached.ok()) << "served from a corrupt snapshot";
     EXPECT_EQ(attached.code(), ErrorCode::kInternal);
@@ -418,7 +418,7 @@ TEST(SnapshotCrashDrillTest, TornTempWriteLeavesOldStateRecoverable) {
   EXPECT_FALSE(std::filesystem::exists(dir.path + "/main.snapshot"));
   {
     ShardedSolveService service(Opts(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, acked_fp);
@@ -454,7 +454,7 @@ TEST(SnapshotCrashDrillTest, DeathBeforeRenameKeepsThePreviousSnapshot) {
   EXPECT_EQ(ReadFileBytes(dir.path + "/main.snapshot"), committed);
   {
     ShardedSolveService service(Opts(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, acked_fp);
@@ -505,7 +505,7 @@ TEST(SnapshotCrashDrillTest, LostTruncateDoesNotDoubleApply) {
   EXPECT_EQ(snap_file->data.epoch, 3u);
   {
     ShardedSolveService service(Opts(dir.path));
-    Result<DatabaseRegistry::Entry> attached =
+    Result<ShardedSolveService::Entry> attached =
         service.Attach("main", DbVal(kBase));
     ASSERT_TRUE(attached.ok()) << attached.error();
     EXPECT_EQ(attached->fingerprint, acked_fp)
@@ -520,7 +520,7 @@ TEST(SnapshotCrashDrillTest, LostTruncateDoesNotDoubleApply) {
       ASSERT_TRUE(out.ok());
       clean = out->db;
     }
-    Result<DatabaseRegistry::Entry> entry = service.registry().Get("main");
+    Result<ShardedSolveService::Entry> entry = service.Get("main");
     ASSERT_TRUE(entry.ok());
     ExpectVerdictParity(*entry->db, *clean);
   }

@@ -29,15 +29,17 @@
 # The recovery smoke drives the live-update durability contract: a daemon
 # with a write-ahead delta journal takes a stream of apply_delta frames,
 # is SIGKILLed mid-stream, has a torn tail appended to its journal, and is
-# restarted over the same base snapshot. Every delta acked before the kill
-# must re-ack idempotently after recovery, and the recovered state must be
-# fingerprint- and verdict-identical to a clean application of the same
-# deltas to a fresh daemon. The failover smoke extends that to the
-# replication layer: a warm-standby follower (`--follow`) bootstraps from
-# a group-fsync primary, the primary is SIGKILLed mid-stream, the follower
-# is promoted, and every delta the dead primary acked must be accepted (or
-# re-acked) by the promoted daemon, converging to fingerprint and verdict
-# parity with a clean application. The parallel smoke checks the
+# restarted over the same base snapshot. A second attach of the live name
+# must fail as a duplicate and leave its journal byte-identical. Every
+# delta acked before the kill must re-ack idempotently after recovery, and
+# the recovered state must be fingerprint- and verdict-identical to a
+# clean application of the same deltas to a fresh daemon. The failover
+# smoke extends that to the replication layer: a warm-standby follower
+# (`--follow`) bootstraps from a group-fsync primary, the primary is
+# SIGKILLed mid-stream, the follower is promoted, and every delta the
+# dead primary acked must be accepted (or re-acked) by the promoted
+# daemon, converging to fingerprint and verdict parity with a clean
+# application. The parallel smoke checks the
 # component-parallel path's wire-level contract: the trace generator is
 # byte-deterministic from its seed, and the same recorded trace replayed
 # against a live daemon at --parallelism=1 and --parallelism=8 yields
@@ -446,6 +448,27 @@ recovery_smoke() {
       --workers=2 --journal-dir="$work/journal" --journal-fsync=always
   addr=$(cat "$work/daemon2.log.addr")
   local recovered_pid; recovered_pid=$(cat "$work/daemon2.log.pid")
+
+  # An attach of a live name is refused before recovery reads its files:
+  # it must neither replay nor truncate the live journal, and a base the
+  # journal was not written against must fail as a duplicate too, not as
+  # a replay divergence.
+  echo "==== [recovery] a second attach of the live name leaves its journal alone"
+  printf 'R(a | b)\n' > "$work/other_facts"
+  cp "$work/journal/default.journal" "$work/journal.before"
+  local base
+  for base in "$work/facts" "$work/other_facts"; do
+    if "$cli" admin "$addr" attach default "$base" > "$work/dup.out"; then
+      echo "a second attach of 'default' should fail"; cat "$work/dup.out"
+      exit 1
+    fi
+    grep -q '"code":"unsupported"' "$work/dup.out" &&
+      grep -q "database 'default' is already attached" "$work/dup.out" || {
+        echo "want a typed already-attached error:"; cat "$work/dup.out"
+        exit 1
+      }
+    cmp "$work/journal.before" "$work/journal/default.journal"
+  done
 
   echo "==== [recovery] every acked delta re-acks idempotently"
   for i in $(seq 1 "$acked"); do

@@ -670,7 +670,7 @@ int CmdServeDaemon(int argc, char** argv, const char* db_path) {
   for (const auto& [name, path] : db_specs) {
     Result<Database> db = LoadDatabase(path.c_str());
     if (!db.ok()) return Fail(db);
-    Result<DatabaseRegistry::Entry> attached = daemon.Attach(
+    Result<ShardedSolveService::Entry> attached = daemon.Attach(
         name, std::make_shared<const Database>(std::move(db.value())));
     if (!attached.ok()) return Fail(attached);
     std::fprintf(stderr, "-- attached '%s'%s: %zu facts, %zu blocks\n",
