@@ -81,9 +81,9 @@ class OptimisticView : public FactView {
   void ForEachFactWithKey(
       Symbol relation, const Tuple& key,
       const std::function<bool(const Tuple&)>& fn) const override {
-    for (const Tuple* t : d_->db->FactsWithKey(relation, key)) {
-      if (Possible(relation, *t) && !fn(*t)) return;
-    }
+    d_->db->ForEachFactWithKey(relation, key, [&](const Tuple& t) {
+      return !Possible(relation, t) || fn(t);
+    });
   }
 
   bool Contains(Symbol relation, const Tuple& values) const override {
@@ -179,10 +179,15 @@ Result<BacktrackingReport> SolveBacktracking(const Query& q,
   // instead of after a whole relation's worth.
   if (options.key_major_order) {
     std::sort(relevant.begin(), relevant.end(), [&](int a, int b) {
-      const Database::Block& ba = db.block(a);
-      const Database::Block& bb = db.block(b);
-      if (ba.key != bb.key) return ba.key < bb.key;
-      if (ba.relation != bb.relation) return ba.relation < bb.relation;
+      const std::span<const Value> ka = db.BlockKey(a);
+      const std::span<const Value> kb = db.BlockKey(b);
+      if (!std::equal(ka.begin(), ka.end(), kb.begin(), kb.end())) {
+        return std::lexicographical_compare(ka.begin(), ka.end(), kb.begin(),
+                                            kb.end());
+      }
+      const Symbol ra = db.block(a).relation;
+      const Symbol rb = db.block(b).relation;
+      if (ra != rb) return ra < rb;
       return a < b;
     });
   }

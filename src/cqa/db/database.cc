@@ -3,12 +3,34 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <unordered_map>
 
 #include "cqa/base/hash.h"
 #include "cqa/base/union_find.h"
 #include "cqa/query/parser.h"
 
 namespace cqa {
+
+namespace {
+
+// The in-memory hash of a value sequence (a whole fact or a key prefix)
+// for the relation index tables. Interned ids are per process, so this
+// never leaves the process; nothing iterates the tables, so it cannot
+// reach an observable order either.
+uint32_t HashValues(std::span<const Value> values) {
+  uint64_t h = values.size();
+  for (Value v : values) {
+    h = (h ^ static_cast<uint32_t>(v.id())) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  return static_cast<uint32_t>(Hash128::Avalanche(h));
+}
+
+bool SameValues(std::span<const Value> a, const Tuple& fact) {
+  return std::equal(a.begin(), a.end(), fact.begin());
+}
+
+}  // namespace
 
 Result<Database> Database::FromText(std::string_view text) {
   Result<std::vector<ParsedFact>> facts = ParseFacts(text);
@@ -31,8 +53,9 @@ Result<Database> Database::FromText(std::string_view text) {
   for (size_t i = 0; i < positions.size(); ++i) {
     RelationData& rd = db.MutableRelation(positions[i]);
     Tuple& values = facts.value()[i].values;
-    if (rd.fact_index.emplace(values, static_cast<int>(rd.facts.size()))
-            .second) {
+    if (db.FindFact(positions[i], rd, values) < 0) {
+      rd.fact_index.Insert(HashValues(values),
+                           static_cast<int32_t>(rd.facts.size()));
       rd.facts.push_back(std::move(values));
     }
   }
@@ -89,12 +112,12 @@ Result<bool> Database::AddFact(Symbol relation, Tuple values) {
   // Membership check before MutableRelation: a duplicate insert must not
   // trigger a copy-on-write clone.
   const RelationData* existing = RelationAt(pos);
-  if (existing != nullptr && existing->fact_index.count(values) > 0) {
+  if (existing != nullptr && FindFact(pos, *existing, values) >= 0) {
     return false;
   }
   RelationData& rd = MutableRelation(pos);
   const int idx = static_cast<int>(rd.facts.size());
-  rd.fact_index.emplace(values, idx);
+  rd.fact_index.Insert(HashValues(values), idx);
   rd.facts.push_back(std::move(values));
   IndexFact(pos, &rd, idx);
   components_.valid.store(false, std::memory_order_release);
@@ -105,15 +128,97 @@ void Database::IndexFact(int pos, RelationData* rd, int idx) {
   const RelationSchema& rs = schema_.relations()[static_cast<size_t>(pos)];
   const Tuple& fact = rd->facts[static_cast<size_t>(idx)];
   digest_acc_.Add(FactContentDigest(rs, fact));
-  auto [kit, inserted] = rd->block_by_key.emplace(
-      Tuple(fact.begin(), fact.begin() + rs.key_len),
-      static_cast<int>(rd->blocks.size()));
-  if (inserted) {
-    rd->blocks.push_back(Block{rs.name, kit->first, {}});
+  const std::span<const Value> key(fact.data(),
+                                   static_cast<size_t>(rs.key_len));
+  int lb = FindBlock(pos, *rd, key);
+  if (lb < 0) {
+    lb = static_cast<int>(rd->blocks.size());
+    rd->blocks.push_back(Block{rs.name, 0, 0, 0});
+    rd->block_by_key.Insert(HashValues(key), lb);
     ShiftBlockOffsets(pos, 1);
   }
-  rd->blocks[static_cast<size_t>(kit->second)].fact_indices.push_back(idx);
-  rd->fact_to_block.push_back(kit->second);
+  rd->AppendMember(lb, idx);
+  rd->fact_to_block.push_back(lb);
+  rd->CompactMembersIfSparse();
+}
+
+void Database::RelationData::AppendMember(int lb, int32_t idx) {
+  Block& blk = blocks[static_cast<size_t>(lb)];
+  if (blk.count == blk.capacity) {
+    const int32_t room = blk.capacity == 0 ? 1 : 2 * blk.capacity;
+    const auto end = static_cast<int32_t>(members.size());
+    if (blk.capacity > 0 && blk.begin + blk.capacity == end) {
+      // The slice ends the pool: grow it in place.
+      members.resize(static_cast<size_t>(blk.begin + room), -1);
+    } else {
+      members.resize(static_cast<size_t>(end + room), -1);
+      std::copy_n(members.begin() + blk.begin, blk.count,
+                  members.begin() + end);
+      unowned_members += blk.capacity;
+      blk.begin = end;
+    }
+    blk.capacity = room;
+  }
+  members[static_cast<size_t>(blk.begin + blk.count++)] = idx;
+}
+
+void Database::RelationData::RemoveMember(int lb, int32_t idx) {
+  Block& blk = blocks[static_cast<size_t>(lb)];
+  int32_t* first = members.data() + blk.begin;
+  int32_t* at = std::find(first, first + blk.count, idx);
+  std::copy(at + 1, first + blk.count, at);
+  --blk.count;
+  if (blk.count == 0) {
+    unowned_members += blk.capacity;  // the caller drops the block
+  } else if (blk.count * 4 <= blk.capacity) {
+    unowned_members += blk.capacity - blk.capacity / 2;
+    blk.capacity /= 2;
+  }
+}
+
+void Database::RelationData::CompactMembersIfSparse() {
+  if (unowned_members <= 32 ||
+      static_cast<size_t>(unowned_members) * 2 <= members.size()) {
+    return;
+  }
+  // Rewrite the pool slice by slice in block order; every slice keeps its
+  // room, so the compaction costs O(pool) once per O(pool) freed slots.
+  std::vector<int32_t> pool;
+  pool.reserve(members.size() - static_cast<size_t>(unowned_members));
+  for (Block& blk : blocks) {
+    const auto begin = static_cast<int32_t>(pool.size());
+    pool.insert(pool.end(), members.begin() + blk.begin,
+                members.begin() + blk.begin + blk.count);
+    pool.resize(static_cast<size_t>(begin + blk.capacity), -1);
+    blk.begin = begin;
+  }
+  members.swap(pool);
+  unowned_members = 0;
+}
+
+int32_t Database::FindFact(int pos, const RelationData& rd,
+                           std::span<const Value> values) const {
+  if (static_cast<int>(values.size()) !=
+      schema_.relations()[static_cast<size_t>(pos)].arity) {
+    return -1;
+  }
+  return rd.fact_index.Find(HashValues(values), [&](int32_t f) {
+    return SameValues(values, rd.facts[static_cast<size_t>(f)]);
+  });
+}
+
+int32_t Database::FindBlock(int pos, const RelationData& rd,
+                            std::span<const Value> key) const {
+  if (static_cast<int>(key.size()) !=
+      schema_.relations()[static_cast<size_t>(pos)].key_len) {
+    return -1;
+  }
+  return rd.block_by_key.Find(HashValues(key), [&](int32_t lb) {
+    const Block& blk = rd.blocks[static_cast<size_t>(lb)];
+    return SameValues(
+        key, rd.facts[static_cast<size_t>(
+                 rd.members[static_cast<size_t>(blk.begin)])]);
+  });
 }
 
 Result<bool> Database::AddFact(std::string_view relation, Tuple values) {
@@ -154,56 +259,62 @@ Result<bool> Database::AddAll(const Database& other) {
 bool Database::RemoveFact(Symbol relation, const Tuple& values) {
   const int pos = schema_.PositionOf(relation);
   const RelationData* existing = RelationAt(pos);
-  if (existing == nullptr || existing->fact_index.count(values) == 0) {
-    return false;
-  }
-  RelationData& rd = MutableRelation(pos);
-  auto fit = rd.fact_index.find(values);
-  const int idx = fit->second;
-  const int last = static_cast<int>(rd.facts.size()) - 1;
-  digest_acc_.Remove(FactContentDigest(
-      schema_.relations()[static_cast<size_t>(pos)], values));
+  if (existing == nullptr) return false;
+  const int idx = FindFact(pos, *existing, values);
+  if (idx < 0) return false;
+  const RelationSchema& rs = schema_.relations()[static_cast<size_t>(pos)];
+  // Hashed up front: `values` may alias the fact about to be overwritten.
+  const uint32_t fact_hash = HashValues(values);
+  const uint32_t key_hash = HashValues(
+      std::span<const Value>(values.data(), static_cast<size_t>(rs.key_len)));
+  digest_acc_.Remove(FactContentDigest(rs, values));
   components_.valid.store(false, std::memory_order_release);
+  RelationData& rd = MutableRelation(pos);
+  const int last = static_cast<int>(rd.facts.size()) - 1;
 
   const int removed_block = rd.fact_to_block[static_cast<size_t>(idx)];
-  {
-    std::vector<int>& members =
-        rd.blocks[static_cast<size_t>(removed_block)].fact_indices;
-    members.erase(std::find(members.begin(), members.end(), idx));
-  }
+  rd.RemoveMember(removed_block, idx);
+  rd.fact_index.Erase(fact_hash, idx);
   if (idx != last) {
     // Swap-with-last compaction: the last fact moves into the hole, so its
     // index entry and its block membership entry both retarget to `idx`.
     rd.facts[static_cast<size_t>(idx)] =
         std::move(rd.facts[static_cast<size_t>(last)]);
-    rd.fact_index[rd.facts[static_cast<size_t>(idx)]] = idx;
+    rd.fact_index.Rename(HashValues(rd.facts[static_cast<size_t>(idx)]),
+                         last, idx);
     const int moved_block = rd.fact_to_block[static_cast<size_t>(last)];
-    std::vector<int>& members =
-        rd.blocks[static_cast<size_t>(moved_block)].fact_indices;
-    *std::find(members.begin(), members.end(), last) = idx;
+    const Block& moved = rd.blocks[static_cast<size_t>(moved_block)];
+    int32_t* first = rd.members.data() + moved.begin;
+    *std::find(first, first + moved.count, last) = idx;
     rd.fact_to_block[static_cast<size_t>(idx)] = moved_block;
   }
   rd.facts.pop_back();
-  rd.fact_index.erase(fit);
   rd.fact_to_block.pop_back();
 
-  if (rd.blocks[static_cast<size_t>(removed_block)].fact_indices.empty()) {
+  if (rd.blocks[static_cast<size_t>(removed_block)].count == 0) {
     // The block emptied: swap-with-last on the relation's block list,
     // retargeting the moved block's key entry and its members' entries.
     const int end_block = static_cast<int>(rd.blocks.size()) - 1;
-    rd.block_by_key.erase(rd.blocks[static_cast<size_t>(removed_block)].key);
+    rd.block_by_key.Erase(key_hash, removed_block);
     if (removed_block != end_block) {
-      rd.blocks[static_cast<size_t>(removed_block)] =
-          std::move(rd.blocks[static_cast<size_t>(end_block)]);
-      const Block& moved = rd.blocks[static_cast<size_t>(removed_block)];
-      rd.block_by_key[moved.key] = removed_block;
-      for (int member : moved.fact_indices) {
-        rd.fact_to_block[static_cast<size_t>(member)] = removed_block;
+      const Block moved = rd.blocks[static_cast<size_t>(end_block)];
+      rd.blocks[static_cast<size_t>(removed_block)] = moved;
+      const Tuple& head = rd.facts[static_cast<size_t>(
+          rd.members[static_cast<size_t>(moved.begin)])];
+      rd.block_by_key.Rename(
+          HashValues(std::span<const Value>(head.data(),
+                                            static_cast<size_t>(rs.key_len))),
+          end_block, removed_block);
+      for (int32_t m = 0; m < moved.count; ++m) {
+        rd.fact_to_block[static_cast<size_t>(
+            rd.members[static_cast<size_t>(moved.begin + m)])] =
+            removed_block;
       }
     }
     rd.blocks.pop_back();
     ShiftBlockOffsets(pos, -1);
   }
+  rd.CompactMembersIfSparse();
   return true;
 }
 
@@ -219,8 +330,17 @@ void FactView::ForEachFactWithKey(
 void Database::ForEachFactWithKey(
     Symbol relation, const Tuple& key,
     const std::function<bool(const Tuple&)>& fn) const {
-  for (const Tuple* t : FactsWithKey(relation, key)) {
-    if (!fn(*t)) return;
+  const int pos = schema_.PositionOf(relation);
+  const RelationData* rd = RelationAt(pos);
+  if (rd == nullptr) return;
+  const int32_t lb = FindBlock(pos, *rd, key);
+  if (lb < 0) return;
+  const Block& blk = rd->blocks[static_cast<size_t>(lb)];
+  for (int32_t m = 0; m < blk.count; ++m) {
+    if (!fn(rd->facts[static_cast<size_t>(
+            rd->members[static_cast<size_t>(blk.begin + m)])])) {
+      return;
+    }
   }
 }
 
@@ -232,8 +352,9 @@ void Database::ForEachFact(Symbol relation,
 }
 
 bool Database::Contains(Symbol relation, const Tuple& values) const {
-  const RelationData* rd = RelationAt(schema_.PositionOf(relation));
-  return rd != nullptr && rd->fact_index.count(values) > 0;
+  const int pos = schema_.PositionOf(relation);
+  const RelationData* rd = RelationAt(pos);
+  return rd != nullptr && FindFact(pos, *rd, values) >= 0;
 }
 
 std::vector<Value> Database::ActiveDomain() const {
@@ -261,22 +382,35 @@ size_t Database::NumFacts() const {
   return n;
 }
 
-const Database::Block& Database::block(int b) const {
+size_t Database::PositionOfBlock(int b) const {
   // The last relation whose first global id is <= b; empty relations share
   // their successor's offset and are skipped by upper_bound.
-  const size_t pos = static_cast<size_t>(
+  return static_cast<size_t>(
       std::upper_bound(block_offset_.begin(), block_offset_.end(), b) -
       block_offset_.begin() - 1);
+}
+
+const Database::Block& Database::block(int b) const {
+  const size_t pos = PositionOfBlock(b);
   return relations_[pos]->blocks[static_cast<size_t>(b - block_offset_[pos])];
 }
 
-const Tuple& Database::BlockFact(int b, size_t member) const {
-  const size_t pos = static_cast<size_t>(
-      std::upper_bound(block_offset_.begin(), block_offset_.end(), b) -
-      block_offset_.begin() - 1);
+std::span<const Value> Database::BlockKey(int b) const {
+  const size_t pos = PositionOfBlock(b);
   const RelationData& rd = *relations_[pos];
   const Block& blk = rd.blocks[static_cast<size_t>(b - block_offset_[pos])];
-  return rd.facts[static_cast<size_t>(blk.fact_indices[member])];
+  const Tuple& head =
+      rd.facts[static_cast<size_t>(rd.members[static_cast<size_t>(blk.begin)])];
+  return {head.data(),
+          static_cast<size_t>(schema_.relations()[pos].key_len)};
+}
+
+const Tuple& Database::BlockFact(int b, size_t member) const {
+  const size_t pos = PositionOfBlock(b);
+  const RelationData& rd = *relations_[pos];
+  const Block& blk = rd.blocks[static_cast<size_t>(b - block_offset_[pos])];
+  return rd.facts[static_cast<size_t>(
+      rd.members[static_cast<size_t>(blk.begin) + member])];
 }
 
 const std::vector<Database::Block>& Database::BlocksOf(
@@ -292,28 +426,24 @@ int Database::FirstBlockId(Symbol relation) const {
                  : block_offset_[static_cast<size_t>(pos)];
 }
 
-std::optional<int> Database::BlockWithKey(Symbol relation,
-                                          const Tuple& key) const {
+std::optional<int> Database::BlockWithKey(
+    Symbol relation, std::span<const Value> key) const {
   const int pos = schema_.PositionOf(relation);
   const RelationData* rd = RelationAt(pos);
   if (rd == nullptr) return std::nullopt;
-  auto kit = rd->block_by_key.find(key);
-  if (kit == rd->block_by_key.end()) return std::nullopt;
-  return block_offset_[static_cast<size_t>(pos)] + kit->second;
+  const int32_t lb = FindBlock(pos, *rd, key);
+  if (lb < 0) return std::nullopt;
+  return block_offset_[static_cast<size_t>(pos)] + lb;
 }
 
-std::vector<const Tuple*> Database::FactsWithKey(Symbol relation,
-                                                 const Tuple& key) const {
+std::vector<const Tuple*> Database::FactsWithKey(
+    Symbol relation, std::span<const Value> key) const {
   std::vector<const Tuple*> out;
-  const RelationData* rd = RelationAt(schema_.PositionOf(relation));
-  if (rd == nullptr) return out;
-  auto kit = rd->block_by_key.find(key);
-  if (kit == rd->block_by_key.end()) return out;
-  const Block& blk = rd->blocks[static_cast<size_t>(kit->second)];
-  out.reserve(blk.fact_indices.size());
-  for (int i : blk.fact_indices) {
-    out.push_back(&rd->facts[static_cast<size_t>(i)]);
-  }
+  const std::optional<int> b = BlockWithKey(relation, key);
+  if (!b.has_value()) return out;
+  const size_t n = block(*b).size();
+  out.reserve(n);
+  for (size_t m = 0; m < n; ++m) out.push_back(&BlockFact(*b, m));
   return out;
 }
 
@@ -322,10 +452,10 @@ std::optional<int> Database::BlockOf(Symbol relation,
   const int pos = schema_.PositionOf(relation);
   const RelationData* rd = RelationAt(pos);
   if (rd == nullptr) return std::nullopt;
-  auto fit = rd->fact_index.find(values);
-  if (fit == rd->fact_index.end()) return std::nullopt;
+  const int32_t idx = FindFact(pos, *rd, values);
+  if (idx < 0) return std::nullopt;
   return block_offset_[static_cast<size_t>(pos)] +
-         rd->fact_to_block[static_cast<size_t>(fit->second)];
+         rd->fact_to_block[static_cast<size_t>(idx)];
 }
 
 const Database::ComponentIndex& Database::BlockComponents() const {

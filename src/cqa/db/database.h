@@ -7,8 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +16,7 @@
 #include "cqa/base/result.h"
 #include "cqa/base/value.h"
 #include "cqa/db/fact.h"
+#include "cqa/db/id_table.h"
 #include "cqa/query/schema.h"
 
 namespace cqa {
@@ -57,21 +58,28 @@ class FactView {
 /// Storage is per relation and shared copy-on-write: a copy shares every
 /// relation's facts *and* block index with its source until one side
 /// mutates that relation, so copying costs O(relations) and a mutation
-/// deep-copies only the relation it touches. Every index (facts, blocks,
-/// content digest) is maintained eagerly by `AddFact`/`RemoveFact`; there
-/// is no lazily rebuilt per-relation state, so sibling copies may be read
-/// from any number of threads while one of them is mutated. Const access
-/// is thread-safe; mutating one instance concurrently with any other access
-/// to *that instance* is a data race, as usual.
+/// deep-copies only the relation it touches. A relation's index is a few
+/// flat arrays of ints (hash tables, block records, a block member pool),
+/// so that deep copy allocates one buffer per fact and O(1) more. Every
+/// index (facts, blocks, content digest) is maintained eagerly by
+/// `AddFact`/`RemoveFact`; there is no lazily rebuilt per-relation state,
+/// so sibling copies may be read from any number of threads while one of
+/// them is mutated. Const access is thread-safe; mutating one instance
+/// concurrently with any other access to *that instance* is a data race,
+/// as usual.
 class Database : public FactView {
  public:
-  /// One block: all facts of `relation` sharing key `key`.
+  /// One block: all facts of `relation` sharing one key. A plain record
+  /// that owns no memory: its members are a slice of the relation's member
+  /// pool, and its key is the key prefix of any member. Read them through
+  /// `BlockKey` and `BlockFact`.
   struct Block {
     Symbol relation = kNoSymbol;
-    Tuple key;
-    std::vector<int> fact_indices;  // indices into facts(relation)
+    int32_t begin = 0;     // first pool slot of the member slice
+    int32_t count = 0;     // members, in insertion order
+    int32_t capacity = 0;  // pool slots the slice owns
 
-    size_t size() const { return fact_indices.size(); }
+    size_t size() const { return static_cast<size_t>(count); }
   };
 
   explicit Database(Schema schema) : schema_(std::move(schema)) {
@@ -128,7 +136,12 @@ class Database : public FactView {
   /// The block with global id `b` (< NumBlocks()). O(log relations).
   const Block& block(int b) const;
 
-  /// Fact `member` (an index into `block(b).fact_indices`) of block `b`.
+  /// The key of block `b`: the key prefix of its first member fact, valid
+  /// until the next mutation.
+  std::span<const Value> BlockKey(int b) const;
+
+  /// Member `member` (< block(b).size()) of block `b`. Members keep their
+  /// insertion order; removing one shifts the later ones down.
   const Tuple& BlockFact(int b, size_t member) const;
 
   /// The blocks of one relation in local order: local block i has global
@@ -140,13 +153,15 @@ class Database : public FactView {
   std::optional<int> BlockOf(Symbol relation, const Tuple& values) const;
 
   /// Global id of the block with the given key, if any fact has that key.
-  std::optional<int> BlockWithKey(Symbol relation, const Tuple& key) const;
+  std::optional<int> BlockWithKey(Symbol relation,
+                                  std::span<const Value> key) const;
 
   /// The facts whose key prefix equals `key` (one block), resolved through
   /// the block index — O(1) plus the block size, instead of a relation scan.
-  /// Empty if no such block.
+  /// Empty if no such block. `ForEachFactWithKey` walks the same facts
+  /// without building the vector.
   std::vector<const Tuple*> FactsWithKey(Symbol relation,
-                                         const Tuple& key) const;
+                                         std::span<const Value> key) const;
 
   /// Query-independent partition of the blocks into value-connected
   /// components: two blocks land in one component iff some facts of theirs
@@ -200,17 +215,34 @@ class Database : public FactView {
 
  private:
   /// One relation's facts with its block index. Shared between copies and
-  /// never mutated while shared (see MutableRelation).
+  /// never mutated while shared (see MutableRelation). Everything but
+  /// `facts` is trivially copyable: the hash tables hash and compare
+  /// through `facts`, and a block's members are a slice
+  /// [begin, begin + count) of `members`, owning `capacity` slots. A full
+  /// slice moves to the pool's end with twice the room, a quarter-full one
+  /// gives up half its room in place, and the pool compacts once most of
+  /// it is unowned — amortized O(1) per member insert or delete.
   struct RelationData {
-    std::unordered_map<Tuple, int, TupleHash> fact_index;
+    IdTable fact_index;    // fact id, keyed by the whole fact
+    IdTable block_by_key;  // local block id, keyed by the key prefix
     std::vector<Block> blocks;
-    std::vector<int> fact_to_block;  // local block id of each fact
-    std::unordered_map<Tuple, int, TupleHash> block_by_key;
-    // Declared last so a copy allocates the facts last: the index copies
-    // above use up the allocator's scattered small free chunks first, and
-    // the facts' values land in contiguous memory, which relation scans
-    // (the hottest read) depend on.
+    std::vector<int32_t> members;        // block member pool (fact ids)
+    std::vector<int32_t> fact_to_block;  // local block id of each fact
+    int32_t unowned_members = 0;         // pool slots no block owns
+    // Declared last so a copy allocates the facts last and their values
+    // land in contiguous memory, which relation scans (the hottest read)
+    // depend on.
     std::vector<Tuple> facts;
+
+    /// Appends fact `idx` to local block `lb`'s member slice.
+    void AppendMember(int lb, int32_t idx);
+    /// Removes fact `idx` from local block `lb`'s slice, keeping the other
+    /// members in order. An emptied block's room counts as unowned; the
+    /// caller drops the block record.
+    void RemoveMember(int lb, int32_t idx);
+    /// Rewrites the pool without its unowned slots once they are most of
+    /// it.
+    void CompactMembersIfSparse();
   };
 
   /// The memoized component partition. Copying yields an empty memo: the
@@ -244,6 +276,18 @@ class Database : public FactView {
   /// Enters fact `idx` of the relation at `pos`, the highest-numbered fact
   /// not yet indexed, into its block index and the content digest.
   void IndexFact(int pos, RelationData* rd, int idx);
+
+  /// The local id of the fact `values` (of the relation at `pos`), or -1.
+  int32_t FindFact(int pos, const RelationData& rd,
+                   std::span<const Value> values) const;
+
+  /// The local id of the block with key `key` (of the relation at `pos`),
+  /// or -1.
+  int32_t FindBlock(int pos, const RelationData& rd,
+                    std::span<const Value> key) const;
+
+  /// The schema position of the relation holding global block `b`.
+  size_t PositionOfBlock(int b) const;
 
   /// Adds `delta` to the global offset of every relation after `pos`.
   void ShiftBlockOffsets(int pos, int delta);

@@ -16,7 +16,8 @@ namespace cqa {
 /// it.
 class Repair : public FactView {
  public:
-  /// `choices[b]` indexes into `db->blocks()[b].fact_indices`.
+  /// `choices[b]` is a member index of block `b`: the chosen fact is
+  /// `db->BlockFact(b, choices[b])`.
   Repair(const Database* db, std::vector<int> choices);
 
   // FactView:

@@ -50,14 +50,10 @@ std::map<std::string, InconsistencyStats> ComputeStatsPerRelation(
 
 Database CertainFacts(const Database& db) {
   Database out(db.schema());
-  for (const RelationSchema& rs : db.schema().relations()) {
-    const std::vector<Tuple>& facts = db.FactsOf(rs.name);
-    for (const Database::Block& block : db.BlocksOf(rs.name)) {
-      if (block.size() != 1) continue;
-      Result<bool> r = out.AddFact(
-          rs.name, facts[static_cast<size_t>(block.fact_indices[0])]);
-      (void)r;
-    }
+  for (int b = 0; b < static_cast<int>(db.NumBlocks()); ++b) {
+    if (db.block(b).size() != 1) continue;
+    Result<bool> r = out.AddFact(db.block(b).relation, db.BlockFact(b, 0));
+    (void)r;
   }
   return out;
 }

@@ -356,6 +356,10 @@ Result<DeltaOutcome> ShardedSolveService::ApplyToShard(
   out.name = shard->name;
   out.delta_id = delta.id;
   uint64_t ack_seq = 0;
+  // The replaced epoch, freed after db_mu is released: freeing a touched
+  // relation costs O(relation), and a Submit on this shard need not wait
+  // for it.
+  std::shared_ptr<const Database> retired;
   {
     // One delta at a time per shard: validation, journal append, cache
     // migration, the epoch swap, and replication fan-out are a single
@@ -422,7 +426,7 @@ Result<DeltaOutcome> ShardedSolveService::ApplyToShard(
     std::pair<uint64_t, uint64_t> counts = shard->service->OnDatabaseDelta(
         shard->fingerprint, applied->fingerprint, applied->touched);
 
-    shard->db = applied->db;
+    retired = std::exchange(shard->db, applied->db);
     shard->fingerprint = applied->fingerprint;
     shard->epoch = next_epoch;
     ++shard->deltas_applied;
@@ -448,6 +452,7 @@ Result<DeltaOutcome> ShardedSolveService::ApplyToShard(
     }
     MaybeSnapshotLocked(shard);
   }
+  retired.reset();
 
   // Group-fsync ack gate, outside the delta lock: the epoch is published,
   // but the caller's ack is owed only after a covering fsync. A failed
@@ -604,11 +609,13 @@ Result<bool> ShardedSolveService::ApplyReplicaSnapshot(
   }
 
   // Existing shard: the stream restarted (reconnect) — wholesale-replace
-  // unless we are already at or past the bootstrap epoch.
+  // unless we are already at or past the bootstrap epoch. The replaced
+  // epoch is declared before the lock, so it is freed after the unlock.
   const ShardPtr& shard = *existing;
+  std::shared_ptr<const Database> retired;
   std::lock_guard<std::mutex> lock(shard->db_mu);
   if (epoch <= shard->epoch) return true;  // idempotent
-  shard->db = db;
+  retired = std::exchange(shard->db, db);
   shard->fingerprint = fingerprint;
   shard->epoch = epoch;
   DeltaIdWindow window(options_.delta_id_window);

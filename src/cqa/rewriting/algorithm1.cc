@@ -1,6 +1,7 @@
 #include "cqa/rewriting/algorithm1.h"
 
 #include <cassert>
+#include <span>
 #include <string>
 
 #include "cqa/attack/attack_graph.h"
@@ -14,8 +15,8 @@ namespace {
 // Binds the variables of `pattern` (a prefix or suffix of an atom's terms)
 // against `values`. Returns false on mismatch (constants or repeated
 // variables disagreeing). Bindings accumulate into `out`.
-bool MatchTerms(const std::vector<Term>& pattern, const Tuple& values,
-                Valuation* out) {
+bool MatchTerms(const std::vector<Term>& pattern,
+                std::span<const Value> values, Valuation* out) {
   assert(pattern.size() == values.size());
   for (size_t i = 0; i < pattern.size(); ++i) {
     const Term& t = pattern[i];
@@ -121,9 +122,11 @@ bool Algorithm1::CaseKeyVars(const Query& q, size_t pick) {
   if (!q.IsNegated(pick)) {
     // θ(F) must be key-equal to a fact of every repair, hence to a block of
     // the database: enumerate R-block keys matching the key pattern.
-    for (const Database::Block& block : db_.BlocksOf(atom.relation())) {
+    const int first = db_.FirstBlockId(atom.relation());
+    const int n = static_cast<int>(db_.BlocksOf(atom.relation()).size());
+    for (int b = first; b < first + n; ++b) {
       Valuation theta;
-      if (MatchTerms(key_terms, block.key, &theta)) {
+      if (MatchTerms(key_terms, db_.BlockKey(b), &theta)) {
         if (RecCached(SubstituteAll(q, theta))) return true;
       }
     }
@@ -205,21 +208,24 @@ bool Algorithm1::CaseGroundKeyNegative(const Query& q, size_t pick) {
 
   // Lemma 6.5: for every matching fact R(ā, b̄), the query plus ȳ ≠ b̄ must
   // stay certain. The block index narrows the scan to the single ā-block.
-  for (const Tuple* tuple : db_.FactsWithKey(atom.relation(), key)) {
+  bool certain = true;
+  db_.ForEachFactWithKey(atom.relation(), key, [&](const Tuple& tuple) {
     Valuation theta;
     if (!MatchTerms(s_terms,
-                    Tuple(tuple->begin() + atom.key_len(), tuple->end()),
+                    std::span<const Value>(tuple).subspan(
+                        static_cast<size_t>(atom.key_len())),
                     &theta)) {
-      continue;  // fact does not instantiate N
+      return true;  // fact does not instantiate N
     }
     Diseq diseq;
     for (Symbol v : new_vars) {
       diseq.lhs.push_back(Term::VarOf(v));
       diseq.rhs.push_back(Term::Const(theta.at(v)));
     }
-    if (!RecCached(q_rest.WithDiseq(std::move(diseq)))) return false;
-  }
-  return true;
+    certain = RecCached(q_rest.WithDiseq(std::move(diseq)));
+    return certain;
+  });
+  return certain;
 }
 
 // key(F) ground, F positive: the block with that key must exist, every fact
@@ -236,18 +242,20 @@ bool Algorithm1::CaseGroundKeyPositive(const Query& q, size_t pick) {
     key.push_back(atom.term(i).constant());
   }
 
-  std::vector<const Tuple*> block = db_.FactsWithKey(atom.relation(), key);
-  if (block.empty()) return false;
-  for (const Tuple* tuple : block) {
+  bool found = false;
+  bool certain = true;
+  db_.ForEachFactWithKey(atom.relation(), key, [&](const Tuple& tuple) {
+    found = true;
     Valuation theta;
-    if (!MatchTerms(s_terms,
-                    Tuple(tuple->begin() + atom.key_len(), tuple->end()),
-                    &theta)) {
-      return false;  // some repair picks this fact; F cannot match it
-    }
-    if (!RecCached(SubstituteAll(q_rest, theta))) return false;
-  }
-  return true;
+    // A fact F does not match is one some repair picks: not certain.
+    certain = MatchTerms(s_terms,
+                         std::span<const Value>(tuple).subspan(
+                             static_cast<size_t>(atom.key_len())),
+                         &theta) &&
+              RecCached(SubstituteAll(q_rest, theta));
+    return certain;
+  });
+  return found && certain;
 }
 
 Result<bool> IsCertainAlgorithm1(const Query& q, const Database& db,

@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -193,37 +195,39 @@ void ExpectSameIndex(const Database& db, const Database& ref,
     ASSERT_EQ(blocks.size(), ref.BlocksOf(rs.name).size());
     const int first = db.FirstBlockId(rs.name);
     for (size_t i = 0; i < blocks.size(); ++i) {
+      const int id = first + static_cast<int>(i);
       const Database::Block& blk = blocks[i];
       EXPECT_EQ(blk.relation, rs.name);
-      EXPECT_EQ(&db.block(first + static_cast<int>(i)), &blk);
-      std::optional<int> ref_id = ref.BlockWithKey(rs.name, blk.key);
+      EXPECT_EQ(&db.block(id), &blk);
+      const std::span<const Value> key = db.BlockKey(id);
+      std::optional<int> ref_id = ref.BlockWithKey(rs.name, key);
       ASSERT_TRUE(ref_id.has_value());
       std::set<Tuple> mine;
-      for (int f : blk.fact_indices) {
-        const Tuple& fact = db.FactsOf(rs.name)[static_cast<size_t>(f)];
-        EXPECT_TRUE(std::equal(blk.key.begin(), blk.key.end(), fact.begin()));
+      for (size_t m = 0; m < blk.size(); ++m) {
+        const Tuple& fact = db.BlockFact(id, m);
+        EXPECT_TRUE(std::equal(key.begin(), key.end(), fact.begin()));
+        EXPECT_EQ(db.BlockOf(rs.name, fact), std::optional<int>(id));
         mine.insert(fact);
       }
       std::set<Tuple> theirs;
-      for (const Tuple* fact : ref.FactsWithKey(rs.name, blk.key)) {
+      for (const Tuple* fact : ref.FactsWithKey(rs.name, key)) {
         theirs.insert(*fact);
       }
       EXPECT_EQ(mine, theirs);
       std::set<Tuple> by_key;
-      for (const Tuple* fact : db.FactsWithKey(rs.name, blk.key)) {
+      for (const Tuple* fact : db.FactsWithKey(rs.name, key)) {
         by_key.insert(*fact);
       }
       EXPECT_EQ(by_key, theirs);
-      EXPECT_EQ(db.BlockWithKey(rs.name, blk.key),
-                std::optional<int>(first + static_cast<int>(i)));
+      EXPECT_EQ(db.BlockWithKey(rs.name, key), std::optional<int>(id));
     }
     for (const Tuple& fact : ref.FactsOf(rs.name)) {
       EXPECT_TRUE(db.Contains(rs.name, fact));
       std::optional<int> b = db.BlockOf(rs.name, fact);
       ASSERT_TRUE(b.has_value());
       EXPECT_EQ(db.block(*b).relation, rs.name);
-      EXPECT_TRUE(std::equal(db.block(*b).key.begin(), db.block(*b).key.end(),
-                             fact.begin()));
+      const std::span<const Value> key = db.BlockKey(*b);
+      EXPECT_TRUE(std::equal(key.begin(), key.end(), fact.begin()));
     }
   }
 }
@@ -276,6 +280,220 @@ TEST(DeltaApplyTest, BlockIndexStaysConsistentAcrossManyDeltas) {
   }
 }
 
+// The documented numbering of a relation's index, kept by a plain model:
+// facts number in insertion order and a removal moves the last fact into
+// the hole; blocks number by first appearance and an emptied block is
+// replaced by the last one; a block's members keep their insertion order,
+// a removal shifts the later ones down, and a moved fact keeps its member
+// position under its new number.
+struct IndexModel {
+  std::vector<Tuple> facts;
+  std::vector<std::vector<int>> blocks;  // member fact numbers
+  std::vector<int> fact_to_block;
+  std::map<Tuple, int> fact_id;
+  std::map<Value, int> block_id;  // by key (R has a one-value key)
+
+  int FindFact(const Tuple& t) const {
+    auto it = fact_id.find(t);
+    return it == fact_id.end() ? -1 : it->second;
+  }
+  void Add(const Tuple& t) {
+    auto [it, fresh] =
+        block_id.emplace(t[0], static_cast<int>(blocks.size()));
+    if (fresh) blocks.emplace_back();
+    const int b = it->second;
+    blocks[static_cast<size_t>(b)].push_back(static_cast<int>(facts.size()));
+    fact_to_block.push_back(b);
+    fact_id[t] = static_cast<int>(facts.size());
+    facts.push_back(t);
+  }
+  void Remove(int idx) {
+    const int last = static_cast<int>(facts.size()) - 1;
+    const int b = fact_to_block[static_cast<size_t>(idx)];
+    std::vector<int>& members = blocks[static_cast<size_t>(b)];
+    members.erase(std::find(members.begin(), members.end(), idx));
+    const Value key = facts[static_cast<size_t>(idx)][0];
+    fact_id.erase(facts[static_cast<size_t>(idx)]);
+    if (idx != last) {
+      facts[static_cast<size_t>(idx)] = facts[static_cast<size_t>(last)];
+      fact_id[facts[static_cast<size_t>(idx)]] = idx;
+      const int mb = fact_to_block[static_cast<size_t>(last)];
+      std::vector<int>& moved = blocks[static_cast<size_t>(mb)];
+      *std::find(moved.begin(), moved.end(), last) = idx;
+      fact_to_block[static_cast<size_t>(idx)] = mb;
+    }
+    facts.pop_back();
+    fact_to_block.pop_back();
+    if (members.empty()) {
+      const int end = static_cast<int>(blocks.size()) - 1;
+      block_id.erase(key);
+      if (b != end) {
+        blocks[static_cast<size_t>(b)] = blocks[static_cast<size_t>(end)];
+        block_id[facts[static_cast<size_t>(
+            blocks[static_cast<size_t>(b)][0])][0]] = b;
+        for (int f : blocks[static_cast<size_t>(b)]) {
+          fact_to_block[static_cast<size_t>(f)] = b;
+        }
+      }
+      blocks.pop_back();
+    }
+  }
+};
+
+// `db` holds exactly the model's facts under the model's fact numbers,
+// block ids and member order, and every lookup agrees with a from-scratch
+// load of the same facts. `gone` are facts that must be absent.
+void ExpectModelIndex(const Database& db, const IndexModel& model,
+                      const std::vector<Tuple>& gone, const std::string& where) {
+  SCOPED_TRACE(where);
+  const Symbol r = InternSymbol("R");
+  ASSERT_EQ(db.FactsOf(r), model.facts);
+  ASSERT_EQ(db.NumBlocks(), model.blocks.size());
+  Result<Database> ref = Database::FromText(db.ToText());
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(FingerprintDatabase(db), FingerprintDatabase(*ref));
+  EXPECT_EQ(db.NumBlocks(), ref->NumBlocks());
+  const int first = db.FirstBlockId(r);
+  for (size_t lb = 0; lb < model.blocks.size(); ++lb) {
+    const int b = first + static_cast<int>(lb);
+    const std::vector<int>& members = model.blocks[lb];
+    ASSERT_EQ(db.block(b).size(), members.size());
+    const std::span<const Value> key = db.BlockKey(b);
+    ASSERT_EQ(key.size(), 1u);
+    EXPECT_EQ(key[0], model.facts[static_cast<size_t>(members[0])][0]);
+    EXPECT_EQ(db.BlockWithKey(r, key), std::optional<int>(b));
+    const std::vector<const Tuple*> by_key = db.FactsWithKey(r, key);
+    ASSERT_EQ(by_key.size(), members.size());
+    std::set<Tuple> mine;
+    for (size_t m = 0; m < members.size(); ++m) {
+      const Tuple& fact = db.BlockFact(b, m);
+      EXPECT_EQ(fact, model.facts[static_cast<size_t>(members[m])]);
+      EXPECT_EQ(by_key[m], &fact);
+      mine.insert(fact);
+    }
+    std::set<Tuple> theirs;
+    for (const Tuple* t : ref->FactsWithKey(r, key)) theirs.insert(*t);
+    EXPECT_EQ(mine, theirs);
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (size_t f = 0; f < model.facts.size(); ++f) {
+    const Tuple& fact = model.facts[f];
+    EXPECT_TRUE(db.Contains(r, fact));
+    EXPECT_EQ(db.BlockOf(r, fact),
+              std::optional<int>(first + model.fact_to_block[f]));
+    EXPECT_TRUE(ref->Contains(r, fact));
+  }
+  for (const Tuple& fact : gone) {
+    EXPECT_FALSE(db.Contains(r, fact));
+    EXPECT_FALSE(db.BlockOf(r, fact).has_value());
+  }
+}
+
+TEST(DeltaIndexStressTest, OneRelationThroughTenThousandInsertsAndDeletes) {
+  // One relation R(k | v) driven through >10^4 seeded inserts and deletes:
+  // thousands of singleton blocks beside one block that grows past 512
+  // members, so the hash tables double several times, the big block's
+  // member slice moves and shrinks, and runs of deletions of neighbouring
+  // keys exercise the tables' backward-shift deletion. The model fixes the
+  // numbering; a reload checks the lookups.
+  Database db = DbVal("R(s0 | v0)");
+  IndexModel model;
+  model.Add({Value::Of("s0"), Value::Of("v0")});
+  const Symbol r = InternSymbol("R");
+  Rng rng(4242);
+  std::vector<Tuple> gone;
+  int ops = 0;
+  auto insert = [&](const std::string& k, const std::string& v) {
+    Tuple t{Value::Of(k), Value::Of(v)};
+    Result<bool> added = db.AddFact(r, t);
+    ASSERT_TRUE(added.ok());
+    EXPECT_EQ(added.value(), model.FindFact(t) < 0);
+    if (added.value()) model.Add(t);
+    ++ops;
+  };
+  auto remove = [&](const Tuple& t) {
+    const int idx = model.FindFact(t);
+    EXPECT_EQ(db.RemoveFact(r, t), idx >= 0);
+    if (idx >= 0) model.Remove(idx);
+    gone.push_back(t);
+    ++ops;
+  };
+  auto check = [&](const std::string& where) {
+    // Only the most recent deletions are still absent for sure.
+    std::vector<Tuple> recent(
+        gone.end() - static_cast<std::ptrdiff_t>(std::min<size_t>(
+                         gone.size(), 200)),
+        gone.end());
+    std::erase_if(recent, [&](const Tuple& t) { return model.FindFact(t) >= 0; });
+    ExpectModelIndex(db, model, recent, where);
+  };
+
+  // Growth: 6000 singletons, every tenth insert also into the big block.
+  for (int i = 1; i <= 6000; ++i) {
+    insert("s" + std::to_string(i), "v" + std::to_string(i % 5));
+    if (i % 10 == 0) insert("big", "b" + std::to_string(i));
+    if (i % 1500 == 0) check("grow " + std::to_string(i));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  ASSERT_GE(db.block(*db.BlockWithKey(r, Tuple{Value::Of("big")})).size(),
+            512u);
+  // Deletion runs over consecutive keys, then most of the big block in
+  // random order (its slice gives up room as it empties). Together they
+  // free most of the member pool, so the pool compacts.
+  for (int run = 0; run < 4; ++run) {
+    const int start = 1 + static_cast<int>(rng.Below(5000));
+    for (int i = start; i < start + 1000 && i <= 6000; ++i) {
+      remove({Value::Of("s" + std::to_string(i)),
+              Value::Of("v" + std::to_string(i % 5))});
+    }
+    check("delete run " + std::to_string(run));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (int n = 0; n < 550; ++n) {
+    const int i = 10 * (1 + static_cast<int>(rng.Below(600)));
+    remove({Value::Of("big"), Value::Of("b" + std::to_string(i))});
+  }
+  check("big block drained");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Mixed random churn on a smaller key domain, with copy-then-mutate
+  // isolation checked at every checkpoint, both ways.
+  for (int round = 0; ops < 12000; ++round) {
+    for (int n = 0; n < 400; ++n) {
+      const std::string k =
+          rng.Chance(0.2) ? "big" : "s" + std::to_string(rng.Below(3000));
+      const std::string v = (k == "big" ? "b" : "v") +
+                            std::to_string(k == "big" ? 10 * rng.Below(600)
+                                                      : rng.Below(5));
+      if (rng.Chance(0.5)) {
+        insert(k, v);
+      } else {
+        remove({Value::Of(k), Value::Of(v)});
+      }
+    }
+    check("churn " + std::to_string(round));
+    if (::testing::Test::HasFatalFailure()) return;
+
+    const Database copy = db;
+    const IndexModel copy_model = model;
+    remove(model.facts[rng.Below(model.facts.size())]);
+    insert("iso" + std::to_string(round), "x");
+    ExpectModelIndex(copy, copy_model, {}, "copy after source mutated");
+    Database second = copy;
+    IndexModel second_model = copy_model;
+    const Tuple t = second_model.facts[rng.Below(second_model.facts.size())];
+    ASSERT_TRUE(second.RemoveFact(r, t));
+    second_model.Remove(second_model.FindFact(t));
+    ASSERT_TRUE(second.AddFact(r, {Value::Of("iso2"), Value::Of("y")}).ok());
+    second_model.Add({Value::Of("iso2"), Value::Of("y")});
+    ExpectModelIndex(second, second_model, {t}, "mutated copy");
+    ExpectModelIndex(copy, copy_model, {}, "copy after its copy mutated");
+    ExpectModelIndex(db, model, {}, "source after copy mutated");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GE(ops, 10000);
+}
+
 TEST(DeltaConcurrencyTest, ReadersOfAnEpochRaceAWriterChainingDeltasFromIt) {
   // Epoch k shares each relation's storage, facts and block index, with
   // every epoch derived from it until a delta touches that relation. Solver
@@ -311,7 +529,7 @@ TEST(DeltaConcurrencyTest, ReadersOfAnEpochRaceAWriterChainingDeltasFromIt) {
             ++facts;
             std::optional<int> b = epoch_k->BlockOf(rs.name, fact);
             if (!b.has_value() || !epoch_k->Contains(rs.name, fact) ||
-                epoch_k->FactsWithKey(rs.name, epoch_k->block(*b).key)
+                epoch_k->FactsWithKey(rs.name, epoch_k->BlockKey(*b))
                     .empty()) {
               mismatches.fetch_add(1);
             }

@@ -100,16 +100,12 @@ TEST(Lemma68Test, KeyRelevantSwapPreservesRestrictedWitnesses) {
       const Database::Block& blk = db.block(*block);
       if (blk.size() < 2) continue;
       ++exercised;
-      for (int fact_idx : blk.fact_indices) {
-        const Tuple& b = db.FactsOf(a.relation)[static_cast<size_t>(fact_idx)];
+      for (size_t c = 0; c < blk.size(); ++c) {
+        const Tuple& b = db.BlockFact(*block, c);
         if (b == a.values) continue;
         // r_B := (r \ {A}) ∪ {B} via choice flipping.
         std::vector<int> choices = r.choices();
-        for (size_t c = 0; c < blk.fact_indices.size(); ++c) {
-          if (blk.fact_indices[c] == fact_idx) {
-            choices[static_cast<size_t>(*block)] = static_cast<int>(c);
-          }
-        }
+        choices[static_cast<size_t>(*block)] = static_cast<int>(c);
         Repair rb(&db, choices);
         // Lemma 6.8: every X-restriction of a witness of r_B is also an
         // X-restriction of a witness of r.

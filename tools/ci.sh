@@ -69,14 +69,35 @@ run_stage() {
   ctest --preset "$test" -j "$jobs"
 }
 
+# Signals each pid's descendants, then the pid itself, so a daemon's
+# forked sandbox children go down with it.
+kill_tree() {
+  local sig="$1" pid; shift
+  for pid in "$@"; do
+    kill_tree "$sig" $(pgrep -P "$pid" || true)
+    kill "-$sig" "$pid" 2>/dev/null || true
+  done
+}
+
+# Runs smoke stage function $1 in a subshell, passing it a fresh work dir.
+# The subshell's EXIT trap fires however the stage ends (success, a failed
+# check's `exit 1`, a `set -e` abort) and kills whatever the stage left
+# running in the background (daemons, client loops), then removes the dir.
+run_smoke() {
+  (
+    work=$(mktemp -d)
+    trap 'kill_tree KILL $(jobs -p); wait 2>/dev/null || true; rm -rf "$work"' EXIT
+    "$1" "$work"
+  )
+}
+
 # End-to-end daemon smoke against the tier-1 build: a real process, a real
 # socket, a real signal. Asserts the solves answer correctly, health serves,
 # SIGTERM drains, and the daemon exits 0 (clean drain, not forced).
 daemon_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "daemon smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
   printf 'R(a | b), R(a | c)\nS(b | a)\n' > "$work/facts"
   printf 'R(x | y)\nR(x | y), not S(y | x)\n' > "$work/queries"
 
@@ -183,8 +204,7 @@ EXPECTED
 cache_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "cache smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
   printf 'R(a | b), R(a | c)\nS(b | a)\n' > "$work/facts"
   printf 'R(x | y), not S(y | x)\n' > "$work/job"
 
@@ -229,8 +249,7 @@ cache_smoke() {
 multidb_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "multidb smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
   # The differential pair: identical query text, opposite verdicts.
   printf 'R(a | b), R(a | c)\nS(b | a)\n' > "$work/facts_a"
   printf 'R(a | b), R(a | c)\nS(z | z)\n' > "$work/facts_b"
@@ -304,8 +323,7 @@ multidb_smoke() {
 sandbox_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "sandbox smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
   printf 'R(a | b), R(a | c)\nS(b | a)\n' > "$work/facts"
   printf 'R(x | y), not S(y | x)\n' > "$work/hard_job"
   printf 'R(x | y)\n' > "$work/fo_job"
@@ -385,8 +403,7 @@ sandbox_smoke() {
 recovery_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "recovery smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
   printf 'R(a | b), R(a | c)\nS(b | a)\nT(t0 | u0)\n' > "$work/facts"
   printf 'R(x | y), not S(y | x)\n' > "$work/job"
   # delta 1 flips the job's verdict; the rest grow T so every delta moves
@@ -526,8 +543,7 @@ recovery_smoke() {
 failover_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "failover smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
   printf 'R(a | b), R(a | c)\nS(b | a)\nT(t0 | u0)\n' > "$work/facts"
   printf 'R(x | y), not S(y | x)\n' > "$work/job"
   printf -- '-S(b, a)\n+R(d | e)\n' > "$work/delta1"
@@ -669,8 +685,7 @@ parallel_smoke() {
   local bt=build/bench/bench_trace
   [ -x "$cli" ] || { echo "parallel smoke needs a tier-1 build ($cli)"; exit 2; }
   [ -x "$bt" ] || { echo "parallel smoke needs a tier-1 build ($bt)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
 
   echo "==== [parallel] trace generator is byte-deterministic from its seed"
   "$bt" --record="$work/a.trace" --seed=11 --requests=160 > "$work/rec1.out"
@@ -739,8 +754,7 @@ parallel_smoke() {
 answers_smoke() {
   local cli=build/tools/cqa_cli
   [ -x "$cli" ] || { echo "answers smoke needs a tier-1 build ($cli)"; exit 2; }
-  local work; work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
+  local work="$1"
 
   # 60 keys, every 4th blocked by a matching S fact: 45 certain answers.
   local i k
@@ -846,14 +860,14 @@ for stage in "${stages[@]}"; do
     tier1) run_stage tier1 default default default ;;
     asan)  run_stage asan-ubsan asan-ubsan asan-ubsan asan-ubsan ;;
     tsan)  run_stage tsan tsan tsan tsan ;;
-    daemon) daemon_smoke ;;
-    cache) cache_smoke ;;
-    multidb) multidb_smoke ;;
-    sandbox) sandbox_smoke ;;
-    recovery) recovery_smoke ;;
-    failover) failover_smoke ;;
-    parallel) parallel_smoke ;;
-    answers) answers_smoke ;;
+    daemon) run_smoke daemon_smoke ;;
+    cache) run_smoke cache_smoke ;;
+    multidb) run_smoke multidb_smoke ;;
+    sandbox) run_smoke sandbox_smoke ;;
+    recovery) run_smoke recovery_smoke ;;
+    failover) run_smoke failover_smoke ;;
+    parallel) run_smoke parallel_smoke ;;
+    answers) run_smoke answers_smoke ;;
     *) echo "unknown stage '$stage'" \
             "(want: tier1 asan tsan daemon cache multidb sandbox recovery" \
             "failover parallel answers)" >&2

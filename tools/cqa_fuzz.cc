@@ -29,9 +29,10 @@
 // (ApplyDeltaToDatabase) and, on every epoch, (a) cross-checks the
 // decompose-then-solve parallel path against the direct sequential solve
 // — verdicts must be identical — and (b) asserts the epoch's memoized
-// value-connected component partition equals that of a from-scratch
-// reparse of the same facts, so an incremental mutation can never leave
-// stale component metadata behind. A matching phase (--matching-rounds)
+// value-connected component partition and its whole block index (every
+// block's key, members, and key and fact lookups) equal those of a
+// from-scratch reparse of the same facts, so an incremental mutation can
+// never leave stale index or component metadata behind. A matching phase (--matching-rounds)
 // draws random queries of the matching engine's class — q1 plus random
 // self-covering negated atoms, literals shuffled — and random databases:
 // the detector must accept each query, reject a near-miss that keys one
@@ -48,6 +49,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -385,6 +387,41 @@ Query RenameVariables(const Query& q, uint64_t salt) {
   return Query::MakeOrDie(std::move(literals), std::move(diseqs));
 }
 
+// The first way `db`'s block index disagrees with `ref`'s, a load of the
+// same facts from scratch, or null. Block ids and member order may differ
+// (deletes compact swap-with-last), so blocks compare by key and content:
+// every member of a block carries its key and maps back to it through
+// BlockOf, the key maps to it through BlockWithKey, and the members are
+// exactly the facts `ref` files under that key.
+const char* BlockIndexMismatch(const Database& db, const Database& ref) {
+  if (db.NumBlocks() != ref.NumBlocks()) return "block count differs";
+  if (db.NumFacts() != ref.NumFacts()) return "fact count differs";
+  for (int b = 0; b < static_cast<int>(db.NumBlocks()); ++b) {
+    const Symbol rel = db.block(b).relation;
+    const std::span<const Value> key = db.BlockKey(b);
+    if (db.BlockWithKey(rel, key) != b) return "key lookup misses its block";
+    std::vector<Tuple> mine;
+    for (size_t m = 0; m < db.block(b).size(); ++m) {
+      const Tuple& fact = db.BlockFact(b, m);
+      if (!std::equal(key.begin(), key.end(), fact.begin())) {
+        return "member does not carry its block's key";
+      }
+      if (!db.Contains(rel, fact) || db.BlockOf(rel, fact) != b) {
+        return "fact lookup misses its block";
+      }
+      mine.push_back(fact);
+    }
+    std::vector<Tuple> theirs;
+    for (const Tuple* fact : ref.FactsWithKey(rel, key)) {
+      theirs.push_back(*fact);
+    }
+    std::sort(mine.begin(), mine.end());
+    std::sort(theirs.begin(), theirs.end());
+    if (mine != theirs) return "block members differ";
+  }
+  return nullptr;
+}
+
 // Canonical signature of a database's value-connected component partition:
 // every block rendered "Rel(key)", blocks grouped by component id, each
 // group sorted, groups sorted. Independent of block enumeration order, so
@@ -394,9 +431,10 @@ std::string ComponentSignature(const Database& db) {
   const Database::ComponentIndex& ci = db.BlockComponents();
   std::vector<std::vector<std::string>> groups(ci.num_components);
   for (size_t b = 0; b < db.NumBlocks(); ++b) {
-    const Database::Block& block = db.block(static_cast<int>(b));
-    groups[ci.component_of_block[b]].push_back(SymbolName(block.relation) +
-                                               TupleToString(block.key));
+    const std::span<const Value> key = db.BlockKey(static_cast<int>(b));
+    groups[ci.component_of_block[b]].push_back(
+        SymbolName(db.block(static_cast<int>(b)).relation) +
+        TupleToString(Tuple(key.begin(), key.end())));
   }
   for (std::vector<std::string>& g : groups) std::sort(g.begin(), g.end());
   std::sort(groups.begin(), groups.end());
@@ -718,7 +756,8 @@ int main(int argc, char** argv) {
 
   // Phase 4: parallel decomposition parity on delta-mutated epochs. Each
   // round chains random inserts and deletes through ApplyDeltaToDatabase;
-  // every epoch's component metadata must match a from-scratch reparse,
+  // every epoch's block index and component metadata must match a
+  // from-scratch reparse,
   // and the decompose-then-solve verdict must equal the direct one.
   {
     Rng prng(seed ^ 0xdec0u);
@@ -741,8 +780,10 @@ int main(int argc, char** argv) {
       }
       std::vector<std::string> pool;
       for (const RelationSchema& rs : base.schema().relations()) {
-        for (const Database::Block& b : base.BlocksOf(rs.name)) {
-          for (Value v : b.key) pool.push_back(v.name());
+        const int first = base.FirstBlockId(rs.name);
+        const int n = static_cast<int>(base.BlocksOf(rs.name).size());
+        for (int b = first; b < first + n; ++b) {
+          for (Value v : base.BlockKey(b)) pool.push_back(v.name());
         }
       }
       for (int f = 0; f < 4; ++f) {
@@ -794,6 +835,9 @@ int main(int argc, char** argv) {
         if (ComponentSignature(*epoch) != ComponentSignature(*reparsed)) {
           return Reproducer(q, *epoch,
                             "epoch carries stale component metadata");
+        }
+        if (const char* diff = BlockIndexMismatch(*epoch, *reparsed)) {
+          return Reproducer(q, *epoch, diff);
         }
 
         // (a) Decompose-then-solve vs the direct sequential engine.
