@@ -31,7 +31,7 @@ void Budget::HogNow() {
   // Allocate and *touch* the chunk so it contributes real RSS, and retain
   // it so the footprint ratchets with every probe.
   hogged_.emplace_back();
-  hogged_.back().resize(static_cast<size_t>(hog_mb_per_probe) << 20);
+  hogged_.back().resize(static_cast<size_t>(faults.hog_mb_per_probe) << 20);
   std::memset(hogged_.back().data(), 0xAB, hogged_.back().size());
 }
 

@@ -12,6 +12,35 @@
 
 namespace cqa {
 
+/// Test-only fault injection, armed per budget. Each knob is off at zero;
+/// probes count every `CheckEvery` call, 1-based.
+struct FaultPlan {
+  /// The probe numbered `fail_after_probes` deterministically reports
+  /// `kBudgetExhausted`. Lets tests and the fuzzer force exhaustion at
+  /// every probe site in turn and prove each solver unwinds cleanly.
+  uint64_t fail_after_probes = 0;
+  /// The probe numbered `crash_after_probes` raises SIGSEGV, simulating a
+  /// solver bug mid-search.
+  uint64_t crash_after_probes = 0;
+  /// Every probe allocates (and retains, touched) this many MiB,
+  /// simulating runaway solver memory. Under a sandbox RSS cap the
+  /// allocation eventually fails and the child exits with
+  /// `kResourceExhausted`.
+  uint64_t hog_mb_per_probe = 0;
+  /// The probe numbered `wedge_after_probes` blocks forever, simulating a
+  /// solver stuck *between* cooperative probes: the case only hard
+  /// preemption (the sandbox's SIGKILL after the grace window) reclaims.
+  uint64_t wedge_after_probes = 0;
+
+  /// True when the plan can crash, wedge or starve the thread running it.
+  /// Only a fork-isolated solve contains these; the serving layer refuses
+  /// them in-process.
+  bool HarmsHost() const {
+    return crash_after_probes != 0 || hog_mb_per_probe != 0 ||
+           wedge_after_probes != 0;
+  }
+};
+
 /// Execution governor shared by every potentially-exponential code path.
 ///
 /// A `Budget` carries three independent limits — a wall-clock deadline, a
@@ -41,27 +70,8 @@ struct Budget {
   uint64_t max_steps = kNoStepLimit;
   /// Optional external cancellation token (set by another thread).
   const std::atomic<bool>* cancel = nullptr;
-  /// Test-only fault injection: when non-zero, the probe numbered
-  /// `fail_after_probes` (1-based, counting every `CheckEvery` call)
-  /// deterministically reports `kBudgetExhausted`. Lets tests and the
-  /// fuzzer force exhaustion at every probe site in turn and prove each
-  /// solver unwinds cleanly.
-  uint64_t fail_after_probes = 0;
-  /// Test-only crash injection: the probe numbered `crash_after_probes`
-  /// raises SIGSEGV, simulating a solver bug mid-search. Only meaningful
-  /// under fork isolation (inproc it takes the whole process down — which
-  /// is exactly the failure mode the sandbox contains).
-  uint64_t crash_after_probes = 0;
-  /// Test-only leak injection: every probe allocates (and retains, touched)
-  /// this many MiB, simulating runaway solver memory. Under a sandbox RSS
-  /// cap the allocation eventually fails and the child exits with
-  /// `kResourceExhausted`; inproc the memory is released with the budget.
-  uint64_t hog_mb_per_probe = 0;
-  /// Test-only wedge injection: the probe numbered `wedge_after_probes`
-  /// blocks forever, simulating a solver stuck in a pathological region
-  /// *between* cooperative probes — the case only hard preemption (the
-  /// sandbox's SIGKILL after the grace window) can reclaim.
-  uint64_t wedge_after_probes = 0;
+  /// Test-only fault injection (see `FaultPlan`); all zero in production.
+  FaultPlan faults;
 
   Budget() = default;
 
@@ -77,12 +87,18 @@ struct Budget {
   std::optional<ErrorCode> CheckEvery(uint64_t stride = kDefaultStride) {
     if (tripped_.has_value()) return tripped_;
     ++steps_;
-    if (fail_after_probes != 0 && steps_ >= fail_after_probes) {
+    if (faults.fail_after_probes != 0 && steps_ >= faults.fail_after_probes) {
       return Trip(ErrorCode::kBudgetExhausted);
     }
-    if (crash_after_probes != 0 && steps_ >= crash_after_probes) CrashNow();
-    if (wedge_after_probes != 0 && steps_ >= wedge_after_probes) WedgeNow();
-    if (hog_mb_per_probe != 0) HogNow();
+    if (faults.crash_after_probes != 0 &&
+        steps_ >= faults.crash_after_probes) {
+      CrashNow();
+    }
+    if (faults.wedge_after_probes != 0 &&
+        steps_ >= faults.wedge_after_probes) {
+      WedgeNow();
+    }
+    if (faults.hog_mb_per_probe != 0) HogNow();
     if (steps_ > max_steps) return Trip(ErrorCode::kBudgetExhausted);
     if (stride == 0 || steps_ % stride == 1 || stride == 1) return CheckNow();
     return std::nullopt;
@@ -136,7 +152,8 @@ struct Budget {
 
   uint64_t steps_ = 0;
   std::optional<ErrorCode> tripped_;
-  /// Retained allocations of `hog_mb_per_probe` (freed with the budget).
+  /// Retained allocations of `faults.hog_mb_per_probe` (freed with the
+  /// budget).
   std::vector<std::vector<char>> hogged_;
 };
 

@@ -302,7 +302,8 @@ Result<SolveReport> SolveCertainty(const Query& q, const Database& db,
   if (options.budget != nullptr) {
     sampling_storage.deadline = options.budget->deadline;
     sampling_storage.cancel = options.budget->cancel;
-    sampling_storage.fail_after_probes = options.budget->fail_after_probes;
+    sampling_storage.faults.fail_after_probes =
+        options.budget->faults.fail_after_probes;
     sampling_budget = &sampling_storage;
   }
   call.budget = sampling_budget;

@@ -65,10 +65,7 @@ Result<ParallelReport> SolveCertainParallel(const Query& q,
     proto.deadline = options.budget->deadline;
     proto.max_steps =
         options.budget->StepsRemaining().value_or(Budget::kNoStepLimit);
-    proto.fail_after_probes = options.budget->fail_after_probes;
-    proto.crash_after_probes = options.budget->crash_after_probes;
-    proto.hog_mb_per_probe = options.budget->hog_mb_per_probe;
-    proto.wedge_after_probes = options.budget->wedge_after_probes;
+    proto.faults = options.budget->faults;
   }
 
   // Plan the component tasks. Sub-databases keep their owning shared_ptr

@@ -652,25 +652,7 @@ void Connection::HandleSolve(WireRequest request) {
 
   // The shard's database is filled in by the sharded service when the
   // frame's "db" name (empty ⇒ default instance) resolves.
-  ServeJob job(std::move(*query), nullptr);
-  if (request.timeout_ms) {
-    job.timeout = std::chrono::milliseconds(*request.timeout_ms);
-  }
-  job.deadline_from_submit = request.deadline_from_submit;
-  job.max_steps = request.max_steps;
-  job.method = request.method;
-  job.degrade_to_sampling = request.degrade_to_sampling;
-  job.max_samples = request.max_samples;
-  job.isolation = request.isolation;
-  job.parallelism = static_cast<int>(
-      std::min<uint64_t>(request.parallelism, 64));
-  job.chaos_sleep = std::chrono::milliseconds(request.chaos_sleep_ms);
-  job.fail_after_probes = request.fail_after_probes;
-  job.fault_attempts = request.fault_attempts;
-  job.crash_after_probes = request.crash_after_probes;
-  job.hog_mb_per_probe = request.hog_mb_per_probe;
-  job.wedge_after_probes = request.wedge_after_probes;
-  job.cache = request.cache_bypass ? CachePolicy::kBypass : CachePolicy::kDefault;
+  ServeJob job(std::move(*query), nullptr, std::move(request.spec));
 
   auto self = shared_from_this();
   std::string resolved_db;
@@ -761,22 +743,15 @@ void Connection::HandleAnswers(WireRequest request) {
     } else if (solves_inflight + streams_.size() >= options_.max_inflight) {
       reject = Reject::kInflightCap;
     } else {
-      AnswerStream stream;
+      AnswerStream stream(
+          ServeJob(std::move(*query), nullptr, std::move(request.spec)));
       stream.db = request.db;
-      stream.query = std::move(*query);
-      stream.free_vars = std::move(request.free_vars);
-      stream.max_chunk = request.max_chunk == 0
-                             ? 64
-                             : std::min<uint64_t>(request.max_chunk, 8192);
-      stream.method = request.method;
-      if (request.timeout_ms) {
-        stream.timeout = std::chrono::milliseconds(*request.timeout_ms);
-      }
-      stream.max_steps = request.max_steps;
-      stream.deadline_from_submit = request.deadline_from_submit;
-      stream.cache_bypass = request.cache_bypass;
-      stream.chaos_sleep = std::chrono::milliseconds(request.chaos_sleep_ms);
-      stream.cursor = std::move(request.cursor);
+      stream.job.kind = JobKind::kAnswers;
+      stream.job.free_vars = std::move(request.free_vars);
+      stream.job.answer_max_chunk =
+          request.max_chunk == 0 ? 64
+                                 : std::min<uint64_t>(request.max_chunk, 8192);
+      stream.job.cursor = std::move(request.cursor);
       stream.started = std::chrono::steady_clock::now();
       streams_.emplace(id, std::move(stream));
     }
@@ -823,20 +798,7 @@ void Connection::SubmitAnswerChunk(uint64_t client_id) {
         s.in_submit = true;
         s.has_pending = false;
         db_name = s.db;
-        job.emplace(*s.query, nullptr);
-        job->kind = JobKind::kAnswers;
-        job->free_vars = s.free_vars;
-        job->answer_max_chunk = s.max_chunk;
-        job->cursor = s.cursor;
-        job->method = s.method;
-        job->timeout = s.timeout;
-        job->max_steps = s.max_steps;
-        job->deadline_from_submit = s.deadline_from_submit;
-        job->chaos_sleep = s.chaos_sleep;
-        job->isolation = IsolationMode::kInproc;
-        job->parallelism = 1;
-        job->cache =
-            s.cache_bypass ? CachePolicy::kBypass : CachePolicy::kDefault;
+        job.emplace(s.job);
       }
     }
     if (cancelled_idle) {
@@ -978,7 +940,7 @@ bool Connection::ProcessAnswerResponse(uint64_t client_id,
                              "unfinished chunk carried no resume cursor"));
         streams_.erase(it);
       } else {
-        s.cursor = response.answer_cursor;
+        s.job.cursor = response.answer_cursor;
         // Write-deadline backpressure, stream-shaped: past the outbound
         // soft cap the stream parks — nothing queued, nothing running,
         // no worker pinned — until the writer drains below the cap. A

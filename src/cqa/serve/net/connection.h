@@ -234,19 +234,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // struct, never a worker. Streams count against `max_inflight` together
   // with plain solves.
   struct AnswerStream {
+    explicit AnswerStream(ServeJob chunk_job) : job(std::move(chunk_job)) {}
+
     std::string db;  // resolved registry name (fixed after first submit)
-    std::optional<Query> query;  // always set; optional for default-construction
-    std::vector<std::string> free_vars;
-    uint64_t max_chunk = 64;
-    SolverMethod method = SolverMethod::kAuto;
-    std::optional<std::chrono::milliseconds> timeout;
-    uint64_t max_steps = UINT64_MAX;
-    bool deadline_from_submit = false;
-    bool cache_bypass = false;
-    /// Chaos injection (tests): forwarded into every chunk job.
-    std::chrono::milliseconds chaos_sleep{0};
-    /// Cursor for the next chunk (empty = start of the stream).
-    std::string cursor;
+    /// Template of every chunk job: query, free variables, chunk size and
+    /// the frame's execution spec. `job.cursor` resumes the next chunk
+    /// (empty = start of the stream); each chunk submits a copy.
+    ServeJob job;
     /// Service id of the chunk job in flight (0 between chunks).
     uint64_t service_id = 0;
     uint64_t answers = 0;  // tuples delivered so far

@@ -1,6 +1,7 @@
 #include "cqa/serve/net/protocol.h"
 
 #include <algorithm>
+#include <climits>
 #include <string_view>
 
 namespace cqa {
@@ -211,37 +212,43 @@ Result<WireRequest> DecodeRequest(const std::string& frame) {
     request.db = db->AsString();
   }
 
+  // Execution settings go straight into the job spec, with the clamps the
+  // service relies on: parallelism at most 64, fault_attempts at most
+  // INT_MAX.
+  JobSpec& spec = request.spec;
   uint64_t timeout_ms = 0;
   if (object.Find("timeout_ms") != nullptr) {
     if (!ReadU64(object, "timeout_ms", &timeout_ms, &error)) {
       return ParseError(error);
     }
-    request.timeout_ms = timeout_ms;
+    spec.timeout = std::chrono::milliseconds(timeout_ms);
   }
-  if (!ReadU64(object, "max_steps", &request.max_steps, &error) ||
-      !ReadU64(object, "max_samples", &request.max_samples, &error) ||
-      !ReadU64(object, "chaos_sleep_ms", &request.chaos_sleep_ms, &error) ||
-      !ReadU64(object, "fail_after_probes", &request.fail_after_probes,
+  uint64_t chaos_sleep_ms = 0;
+  uint64_t parallelism = 0;
+  uint64_t fault_attempts = static_cast<uint64_t>(spec.fault_attempts);
+  if (!ReadU64(object, "max_steps", &spec.max_steps, &error) ||
+      !ReadU64(object, "max_samples", &spec.max_samples, &error) ||
+      !ReadU64(object, "chaos_sleep_ms", &chaos_sleep_ms, &error) ||
+      !ReadU64(object, "fail_after_probes", &spec.faults.fail_after_probes,
                &error) ||
-      !ReadU64(object, "crash_after_probes", &request.crash_after_probes,
+      !ReadU64(object, "crash_after_probes", &spec.faults.crash_after_probes,
                &error) ||
-      !ReadU64(object, "hog_mb_per_probe", &request.hog_mb_per_probe,
+      !ReadU64(object, "hog_mb_per_probe", &spec.faults.hog_mb_per_probe,
                &error) ||
-      !ReadU64(object, "wedge_after_probes", &request.wedge_after_probes,
+      !ReadU64(object, "wedge_after_probes", &spec.faults.wedge_after_probes,
                &error) ||
-      !ReadU64(object, "parallelism", &request.parallelism, &error) ||
-      !ReadBool(object, "degrade_to_sampling", &request.degrade_to_sampling,
+      !ReadU64(object, "parallelism", &parallelism, &error) ||
+      !ReadBool(object, "degrade_to_sampling", &spec.degrade_to_sampling,
                 &error) ||
-      !ReadBool(object, "deadline_from_submit", &request.deadline_from_submit,
-                &error)) {
+      !ReadBool(object, "deadline_from_submit", &spec.deadline_from_submit,
+                &error) ||
+      !ReadU64(object, "fault_attempts", &fault_attempts, &error)) {
     return ParseError(error);
   }
-  uint64_t fault_attempts = static_cast<uint64_t>(request.fault_attempts);
-  if (!ReadU64(object, "fault_attempts", &fault_attempts, &error)) {
-    return ParseError(error);
-  }
-  request.fault_attempts = static_cast<int>(
-      std::min<uint64_t>(fault_attempts, INT_MAX));
+  spec.chaos_sleep = std::chrono::milliseconds(chaos_sleep_ms);
+  spec.parallelism = static_cast<int>(std::min<uint64_t>(parallelism, 64));
+  spec.fault_attempts =
+      static_cast<int>(std::min<uint64_t>(fault_attempts, INT_MAX));
 
   const Json* method = object.Find("method");
   if (method != nullptr) {
@@ -250,7 +257,7 @@ Result<WireRequest> DecodeRequest(const std::string& frame) {
     }
     Result<SolverMethod> m = ParseSolverMethod(method->AsString());
     if (!m.ok()) return Result<WireRequest>::Error(m);
-    request.method = m.value();
+    spec.method = m.value();
   }
 
   const Json* isolation = object.Find("isolation");
@@ -265,7 +272,7 @@ Result<WireRequest> DecodeRequest(const std::string& frame) {
           ErrorCode::kUnsupported,
           "field 'isolation' must be 'auto', 'inproc' or 'fork'");
     }
-    request.isolation = *mode;
+    spec.isolation = *mode;
   }
 
   const Json* cache = object.Find("cache");
@@ -275,7 +282,7 @@ Result<WireRequest> DecodeRequest(const std::string& frame) {
     }
     const std::string& policy = cache->AsString();
     if (policy == "bypass") {
-      request.cache_bypass = true;
+      spec.cache = CachePolicy::kBypass;
     } else if (policy != "default") {
       return ParseError("field 'cache' must be 'default' or 'bypass'");
     }

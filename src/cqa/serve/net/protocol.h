@@ -2,7 +2,6 @@
 #define CQA_SERVE_NET_PROTOCOL_H_
 
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -10,13 +9,12 @@
 #include <vector>
 
 #include "cqa/answers/answer_chunk.h"
-#include "cqa/base/budget.h"
 #include "cqa/base/result.h"
 #include "cqa/certainty/solver.h"
 #include "cqa/delta/delta.h"
 #include "cqa/registry/sharded_service.h"
 #include "cqa/serve/net/json.h"
-#include "cqa/serve/sandbox/sandbox.h"
+#include "cqa/serve/service.h"
 #include "cqa/serve/stats.h"
 
 namespace cqa {
@@ -58,33 +56,14 @@ struct WireRequest {
   /// absent) routes to the daemon's default instance — the pre-registry
   /// protocol unchanged.
   std::string db;
-  /// Per-request wall-clock budget; absent inherits the daemon default.
-  std::optional<uint64_t> timeout_ms;
-  uint64_t max_steps = UINT64_MAX;
-  SolverMethod method = SolverMethod::kAuto;
-  bool degrade_to_sampling = true;
-  uint64_t max_samples = 10'000;
-  /// Anchor the deadline at submit time (queue wait consumes the budget);
-  /// pairs with the service's earliest-deadline-first queueing.
-  bool deadline_from_submit = false;
-  /// "cache":"bypass" skips both the result-cache lookup and the store for
-  /// this solve; "default" (or absent) uses the daemon's cache policy.
-  bool cache_bypass = false;
-  /// "isolation":"inproc"|"fork" pins where this solve runs; "auto" (or
-  /// the field absent) defers to the daemon's isolation policy, which may
-  /// escalate coNP-risk queries to a fork sandbox. See docs/SERVING.md.
-  IsolationMode isolation = IsolationMode::kAuto;
-  /// "parallelism": pool width for component-decomposed solving of this
-  /// request; 0 (or absent) inherits the daemon's `--parallelism`, 1
-  /// forces the sequential path. The service clamps the effective value.
-  uint64_t parallelism = 0;
-  // Chaos knobs (tests): see ServeJob.
-  uint64_t chaos_sleep_ms = 0;
-  uint64_t fail_after_probes = 0;
-  int fault_attempts = INT_MAX;
-  uint64_t crash_after_probes = 0;
-  uint64_t hog_mb_per_probe = 0;
-  uint64_t wedge_after_probes = 0;
+  /// Execution settings, decoded straight into the job spec the service
+  /// runs ("timeout_ms", "max_steps", "method", "degrade_to_sampling",
+  /// "max_samples", "deadline_from_submit", "parallelism", "isolation",
+  /// "cache", and the test knobs "fail_after_probes", "crash_after_probes",
+  /// "hog_mb_per_probe", "wedge_after_probes", "fault_attempts",
+  /// "chaos_sleep_ms"). Solve and answers frames both honour it. See
+  /// docs/SERVING.md.
+  JobSpec spec;
 
   // --- answers fields ---
   /// Free variables of the answer query, in output-tuple order (required,

@@ -58,26 +58,20 @@ void ApplyRssCap(uint64_t max_rss_mb, uint64_t parent_as_bytes) {
 
 // Child side: run the solve, write one frame, _exit. Never returns.
 [[noreturn]] void ChildMain(int write_fd, const Query& q, const Database& db,
-                            const SandboxJob& job, uint64_t max_rss_mb,
+                            const SolveOptions& options, uint64_t max_rss_mb,
                             uint64_t parent_as_bytes) {
   ApplyRssCap(max_rss_mb, parent_as_bytes);
   std::string frame;
   try {
+    // The parent's cancel token is never set in this address space: the
+    // parent kills the child instead.
     Budget budget;
-    budget.deadline = job.deadline;
-    budget.max_steps = job.max_steps;
-    budget.fail_after_probes = job.fail_after_probes;
-    budget.crash_after_probes = job.crash_after_probes;
-    budget.hog_mb_per_probe = job.hog_mb_per_probe;
-    budget.wedge_after_probes = job.wedge_after_probes;
-    SolveOptions opts;
-    opts.method = job.method;
-    opts.budget = &budget;
-    opts.warm = job.warm;
-    opts.degrade_to_sampling = job.degrade_to_sampling;
-    opts.max_samples = job.max_samples;
-    opts.sampling_seed = job.sampling_seed;
-    opts.parallelism = job.parallelism;
+    SolveOptions opts = options;
+    if (options.budget != nullptr) {
+      budget = *options.budget;
+      budget.cancel = nullptr;
+      opts.budget = &budget;
+    }
     Result<SolveReport> outcome = SolveCertainty(q, db, opts);
     frame = EncodeOutcome(outcome);
   } catch (const std::bad_alloc&) {
@@ -131,7 +125,7 @@ bool ShouldIsolate(const Query& q, const Classification& c) {
 }
 
 SandboxOutcome RunSandboxedSolve(const Query& q, const Database& db,
-                                 const SandboxJob& job,
+                                 const SolveOptions& options,
                                  const SandboxLimits& limits,
                                  const std::atomic<bool>* cancel) {
   SandboxOutcome out;
@@ -155,7 +149,7 @@ SandboxOutcome RunSandboxedSolve(const Query& q, const Database& db,
   if (pid == 0) {
     Interner::Global().UnlockAfterFork();
     close(fds[0]);
-    ChildMain(fds[1], q, db, job, limits.max_rss_mb, parent_as);
+    ChildMain(fds[1], q, db, options, limits.max_rss_mb, parent_as);
   }
   Interner::Global().UnlockAfterFork();
   close(fds[1]);
@@ -170,9 +164,9 @@ SandboxOutcome RunSandboxedSolve(const Query& q, const Database& db,
   // Supervision loop: accumulate pipe bytes in poll slices; leave on a
   // complete frame, EOF, cancellation, or grace breach.
   const bool has_deadline =
-      job.deadline != Budget::Clock::time_point::max();
+      options.budget != nullptr && options.budget->has_deadline();
   const Budget::Clock::time_point kill_at =
-      has_deadline ? job.deadline + limits.kill_grace
+      has_deadline ? options.budget->deadline + limits.kill_grace
                    : Budget::Clock::time_point::max();
   std::string buf;
   bool cancel_kill = false;

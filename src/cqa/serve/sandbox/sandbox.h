@@ -82,32 +82,6 @@ struct SandboxLimits {
   uint64_t max_rss_mb = 0;
 };
 
-/// Everything the child needs to run one solve (the cross-process subset
-/// of `SolveOptions` plus the governing limits and fault-injection knobs).
-struct SandboxJob {
-  SolverMethod method = SolverMethod::kAuto;
-  bool degrade_to_sampling = true;
-  uint64_t max_samples = 10'000;
-  uint64_t sampling_seed = 0x5eedu;
-  /// Pool width for component-decomposed solving inside the child (1 =
-  /// sequential). The child may spawn pool threads freely: it forked
-  /// single-threaded and owns its whole address space.
-  int parallelism = 1;
-  /// Step limit for the child's budget; `Budget::kNoStepLimit` for none.
-  uint64_t max_steps = Budget::kNoStepLimit;
-  /// Absolute deadline (steady clock is process-independent on one
-  /// machine, so the value crosses `fork` unchanged); `max()` for none.
-  Budget::Clock::time_point deadline = Budget::Clock::time_point::max();
-  /// Fault-injection knobs, forwarded into the child's budget.
-  uint64_t fail_after_probes = 0;
-  uint64_t crash_after_probes = 0;
-  uint64_t hog_mb_per_probe = 0;
-  uint64_t wedge_after_probes = 0;
-  /// Optional warm memos, inherited copy-on-write by the child (its
-  /// mutations die with it); not owned, may be null.
-  WarmState* warm = nullptr;
-};
-
 /// One supervised solve: the typed terminal plus what the supervisor saw.
 struct SandboxOutcome {
   Result<SolveReport> result;
@@ -126,11 +100,17 @@ struct SandboxOutcome {
 };
 
 /// Runs one solve in a forked, supervised child and maps every exit path
-/// to exactly one typed terminal. `cancel` (may be null) is the parent-side
+/// to exactly one typed terminal. The child inherits `options` by fork and
+/// runs `SolveCertainty` with them: a copy of `*options.budget` (deadline,
+/// step limit, fault plan; may be null for none) governs it, with the
+/// cancel token cleared, and `options.warm` is inherited copy-on-write
+/// (its mutations die with the child). The child may spawn pool threads
+/// for `options.parallelism > 1`: it forked single-threaded and owns its
+/// whole address space. `cancel` (may be null) is the parent-side
 /// cancellation token; the child is killed, not signalled cooperatively.
 /// Blocks until the child is reaped — no zombies outlive this call.
 SandboxOutcome RunSandboxedSolve(const Query& q, const Database& db,
-                                 const SandboxJob& job,
+                                 const SolveOptions& options,
                                  const SandboxLimits& limits,
                                  const std::atomic<bool>* cancel);
 

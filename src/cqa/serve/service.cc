@@ -288,23 +288,35 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
   // explicit choice wins; `kAuto` defers to the service policy, whose own
   // `kAuto` escalates to a sandbox for coNP-risk queries (classification
   // is polynomial, memoized per worker, and dwarfed by any solve it
-  // gates).
+  // gates). Answer chunks never cross the sandbox result pipe (its codec
+  // carries verdicts, not tuple sets): answers jobs always run in-process,
+  // and the per-chunk budget bounds the damage an expensive enumeration
+  // can do.
   bool use_fork = false;
-  IsolationMode mode = req->job.isolation != IsolationMode::kAuto
-                           ? req->job.isolation
-                           : options_.isolation;
-  if (mode == IsolationMode::kFork) {
-    use_fork = true;
-  } else if (mode == IsolationMode::kAuto) {
-    const Query& q = req->job.query;
-    use_fork = ShouldIsolate(
-        q, warm != nullptr ? warm->ClassifyMemo(CanonicalQueryKey(q), q)
-                           : Classify(q));
+  if (req->job.kind == JobKind::kCertainty) {
+    IsolationMode mode = req->job.isolation != IsolationMode::kAuto
+                             ? req->job.isolation
+                             : options_.isolation;
+    if (mode == IsolationMode::kFork) {
+      use_fork = true;
+    } else if (mode == IsolationMode::kAuto) {
+      const Query& q = req->job.query;
+      use_fork = ShouldIsolate(
+          q, warm != nullptr ? warm->ClassifyMemo(CanonicalQueryKey(q), q)
+                             : Classify(q));
+    }
   }
-  // Answer chunks never cross the sandbox result pipe (its codec carries
-  // verdicts, not tuple sets): answers jobs always run in-process. The
-  // per-chunk budget bounds the damage an expensive enumeration can do.
-  if (req->job.kind == JobKind::kAnswers) use_fork = false;
+  // Containment: an injected crash, wedge or hog would take this worker
+  // (and, for a crash, the whole process) with it. Only a sandboxed child
+  // may run such a plan; in-process it is refused up front, never retried.
+  if (!use_fork && req->job.fault_attempts > 0 &&
+      req->job.faults.HarmsHost()) {
+    return Finish(req, /*started=*/true, RequestState::kCompleted,
+                  Result<SolveReport>::Error(
+                      ErrorCode::kUnsupported,
+                      "crash, wedge and hog fault injection require fork "
+                      "isolation; this request runs in-process"));
+  }
   for (;;) {
     if (req->cancel->load(std::memory_order_acquire)) {
       return Finish(
@@ -333,10 +345,7 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
     budget.cancel = req->cancel.get();
     budget.max_steps = req->job.max_steps;
     if (req->attempts <= req->job.fault_attempts) {
-      budget.fail_after_probes = req->job.fail_after_probes;
-      budget.crash_after_probes = req->job.crash_after_probes;
-      budget.hog_mb_per_probe = req->job.hog_mb_per_probe;
-      budget.wedge_after_probes = req->job.wedge_after_probes;
+      budget.faults = req->job.faults;
     }
     std::chrono::milliseconds timeout =
         req->job.timeout.value_or(options_.default_timeout);
@@ -351,12 +360,6 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
     if (warm != nullptr) {
       warm->BindDatabase(FingerprintDatabase(*req->job.db));
     }
-    // Pool width: the job's explicit choice wins, 0 inherits the service
-    // default; clamp to a sane band so a hostile wire value cannot spawn
-    // thousands of threads.
-    int parallelism =
-        req->job.parallelism > 0 ? req->job.parallelism : options_.parallelism;
-    parallelism = std::max(1, std::min(parallelism, 64));
     Result<SolveReport> result =
         Result<SolveReport>::Error(ErrorCode::kInternal, "attempt never ran");
     if (req->job.kind == JobKind::kAnswers) {
@@ -390,39 +393,34 @@ SolveService::RequestPtr SolveService::Process(const RequestPtr& req, Rng* rng,
       } else {
         result = Result<SolveReport>::Error(enumerated);
       }
-    } else if (use_fork) {
-      // Sandbox path: the attempt runs in a forked child under hard
-      // limits; the budget fields cross the process boundary by value
-      // (deadline, step limit, fault knobs), and the cancel token stays
-      // parent-side — cancellation SIGKILLs the child instead of waiting
-      // for a cooperative probe.
-      SandboxJob sj;
-      sj.method = req->job.method;
-      sj.degrade_to_sampling = req->job.degrade_to_sampling;
-      sj.max_samples = req->job.max_samples;
-      sj.max_steps = budget.max_steps;
-      sj.deadline = budget.deadline;
-      sj.fail_after_probes = budget.fail_after_probes;
-      sj.crash_after_probes = budget.crash_after_probes;
-      sj.hog_mb_per_probe = budget.hog_mb_per_probe;
-      sj.wedge_after_probes = budget.wedge_after_probes;
-      sj.parallelism = parallelism;
-      sj.warm = warm;
-      SandboxOutcome outcome = RunSandboxedSolve(
-          req->job.query, *req->job.db, sj, options_.sandbox,
-          req->cancel.get());
-      stats_.RecordSandbox(outcome.killed, outcome.crashed,
-                           outcome.rss_breach, outcome.peak_rss_kb);
-      result = std::move(outcome.result);
     } else {
       SolveOptions sopts;
       sopts.method = req->job.method;
       sopts.budget = &budget;
       sopts.degrade_to_sampling = req->job.degrade_to_sampling;
       sopts.max_samples = req->job.max_samples;
-      sopts.parallelism = parallelism;
+      // Pool width: the job's explicit choice wins, 0 inherits the service
+      // default; clamp to a sane band so a hostile wire value cannot spawn
+      // thousands of threads.
+      sopts.parallelism = std::clamp(
+          req->job.parallelism > 0 ? req->job.parallelism
+                                   : options_.parallelism,
+          1, 64);
       sopts.warm = warm;
-      result = SolveCertainty(req->job.query, *req->job.db, sopts);
+      if (use_fork) {
+        // Sandbox path: the attempt runs in a forked child under hard
+        // limits; the child inherits these options and the budget by
+        // fork, and the cancel token stays parent-side — cancellation
+        // SIGKILLs the child instead of waiting for a cooperative probe.
+        SandboxOutcome outcome =
+            RunSandboxedSolve(req->job.query, *req->job.db, sopts,
+                              options_.sandbox, req->cancel.get());
+        stats_.RecordSandbox(outcome.killed, outcome.crashed,
+                             outcome.rss_breach, outcome.peak_rss_kb);
+        result = std::move(outcome.result);
+      } else {
+        result = SolveCertainty(req->job.query, *req->job.db, sopts);
+      }
     }
     if (result.ok() && result->components > 0) {
       stats_.RecordParallel(static_cast<uint64_t>(result->components),

@@ -53,16 +53,10 @@ enum class JobKind {
   kAnswers,
 };
 
-/// One unit of work for `SolveService`: decide CERTAINTY(q) on a database.
-/// The database is shared (many jobs typically target the same instance)
-/// and must stay immutable while the service holds a reference.
-struct ServeJob {
-  ServeJob(Query q, std::shared_ptr<const Database> database)
-      : query(std::move(q)), db(std::move(database)) {}
-
-  Query query;
-  std::shared_ptr<const Database> db;
-
+/// The execution settings of one request, declared once: the wire decoder
+/// (`WireRequest::spec`) fills it, and `ServeJob` inherits it, so a decoded
+/// frame reaches the service without a field-by-field copy.
+struct JobSpec {
   /// Per-attempt wall-clock budget; `nullopt` inherits the service's
   /// `default_timeout`, zero means no per-request deadline (the service
   /// deadline, if any, still applies).
@@ -93,28 +87,36 @@ struct ServeJob {
   /// explicit `kInproc`/`kFork` here overrides the service policy.
   IsolationMode isolation = IsolationMode::kAuto;
 
-  /// Chaos knobs: inject `fail_after_probes` into the attempt's `Budget`
-  /// (see base/budget.h) for the first `fault_attempts` attempts, so tests
-  /// can force deterministic exhaustion and then a clean retry.
-  uint64_t fail_after_probes = 0;
+  /// Result-cache participation; ignored when the service has no cache.
+  CachePolicy cache = CachePolicy::kDefault;
+
+  /// Test knobs: `faults` (base/budget.h) is armed in the attempt's
+  /// `Budget` for the first `fault_attempts` attempts, so tests can force
+  /// deterministic exhaustion and then a clean retry. A plan that can
+  /// crash, wedge or hog (`FaultPlan::HarmsHost`) runs only under fork
+  /// isolation, where the sandbox contains it; when the job resolves to
+  /// in-process the service ends it as `kUnsupported` instead.
+  FaultPlan faults;
   int fault_attempts = INT_MAX;
-  /// Crash/leak/wedge injection (base/budget.h), gated by `fault_attempts`
-  /// like `fail_after_probes`. Under fork isolation these exercise the
-  /// sandbox's containment paths (`kWorkerCrashed`, `kResourceExhausted`,
-  /// SIGKILL reclaim); inproc they do exactly what they say — crash or
-  /// wedge the worker — which is the unprotected failure mode the sandbox
-  /// exists to contain.
-  uint64_t crash_after_probes = 0;
-  uint64_t hog_mb_per_probe = 0;
-  uint64_t wedge_after_probes = 0;
-  /// Chaos knob: an interruptible sleep before each attempt's solve,
+  /// Test knob: an interruptible sleep before each attempt's solve,
   /// giving tests a deterministic-duration "slow request". Cancellation
   /// and shutdown drain cut the sleep short (the request then terminates
   /// as cancelled).
   std::chrono::milliseconds chaos_sleep{0};
+};
 
-  /// Result-cache participation; ignored when the service has no cache.
-  CachePolicy cache = CachePolicy::kDefault;
+/// One unit of work for `SolveService`: decide CERTAINTY(q) on a database.
+/// The database is shared (many jobs typically target the same instance)
+/// and must stay immutable while the service holds a reference.
+struct ServeJob : JobSpec {
+  ServeJob(Query q, std::shared_ptr<const Database> database,
+           JobSpec spec = {})
+      : JobSpec(std::move(spec)),
+        query(std::move(q)),
+        db(std::move(database)) {}
+
+  Query query;
+  std::shared_ptr<const Database> db;
 
   /// Job kind; the fields below only apply to `kAnswers` jobs.
   JobKind kind = JobKind::kCertainty;

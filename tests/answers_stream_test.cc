@@ -205,7 +205,7 @@ TEST(AnswersServiceTest, BudgetPartialChunkIsNeverCached) {
     options.cache_entries = 16;
     SolveService service(options);
     ServeJob faulty = AnswersJob(q, db, 64);
-    faulty.fail_after_probes = trip;
+    faulty.faults.fail_after_probes = trip;
     ServeResponse first = SubmitAndWait(service, std::move(faulty));
     if (!first.result.ok() || !first.result->answer_chunk->exhausted) {
       service.Shutdown(milliseconds(1'000));

@@ -175,7 +175,7 @@ TEST(AnswerEnumeratorTest, BudgetPartialChunkIsMarkedExhausted) {
   bool saw_partial = false;
   for (uint64_t trip = 1; trip < 64; ++trip) {
     Budget budget;
-    budget.fail_after_probes = trip;
+    budget.faults.fail_after_probes = trip;
     EnumerateOptions opts;
     opts.max_chunk = 64;
     Result<AnswerChunk> chunk =
@@ -206,7 +206,7 @@ TEST(AnswerEnumeratorTest, BudgetTrippedBeforeFirstCandidateIsTyped) {
   Query q = Q("P(x | y), not N(x | y)");
   Database db = Db("P(k1 | a)");
   Budget budget;
-  budget.fail_after_probes = 1;
+  budget.faults.fail_after_probes = 1;
   Result<AnswerChunk> chunk =
       EnumerateAnswerChunk(q, {InternSymbol("x")}, db, {}, &budget);
   ASSERT_FALSE(chunk.ok());

@@ -440,7 +440,8 @@ TEST(CachePropertyTest, DegradedVerdictIsNotCachedAndRetryResolves) {
 
   ServeJob faulted(q, db);
   faulted.method = SolverMethod::kAuto;
-  faulted.fail_after_probes = 1;  // trip the budget instantly, every stage
+  // Trip the budget instantly, every stage.
+  faulted.faults.fail_after_probes = 1;
   ServeResponse degraded = SolveVia(&service, std::move(faulted));
   ASSERT_EQ(degraded.state, RequestState::kCompleted);
   ASSERT_TRUE(degraded.result.ok()) << degraded.result.error();
@@ -476,7 +477,7 @@ TEST(CachePropertyTest, BudgetExhaustedErrorIsNotCached) {
   ServeJob faulted(Q("R(x | y)"), db);
   faulted.method = SolverMethod::kBacktracking;
   faulted.degrade_to_sampling = false;
-  faulted.fail_after_probes = 1;
+  faulted.faults.fail_after_probes = 1;
   ServeResponse failed = SolveVia(&service, std::move(faulted));
   ASSERT_EQ(failed.state, RequestState::kCompleted);
   ASSERT_FALSE(failed.result.ok());

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "cqa/base/signals.h"
 #include "cqa/delta/delta.h"
+#include "cqa/query/parser.h"
 #include "cqa/serve/net/client.h"
 #include "cqa/serve/net/daemon.h"
 #include "cqa/serve/net/framing.h"
@@ -154,14 +156,121 @@ TEST(ProtocolTest, DecodesSolveWithAllOptions) {
   EXPECT_EQ(r->type, WireRequestType::kSolve);
   EXPECT_EQ(r->id, 42u);
   EXPECT_EQ(r->query, "R(x | y)");
-  ASSERT_TRUE(r->timeout_ms.has_value());
-  EXPECT_EQ(*r->timeout_ms, 250u);
-  EXPECT_EQ(r->max_steps, 1000u);
-  EXPECT_EQ(r->method, SolverMethod::kBacktracking);
-  EXPECT_FALSE(r->degrade_to_sampling);
-  EXPECT_EQ(r->max_samples, 99u);
-  EXPECT_TRUE(r->deadline_from_submit);
-  EXPECT_EQ(r->chaos_sleep_ms, 5u);
+  ASSERT_TRUE(r->spec.timeout.has_value());
+  EXPECT_EQ(r->spec.timeout->count(), 250);
+  EXPECT_EQ(r->spec.max_steps, 1000u);
+  EXPECT_EQ(r->spec.method, SolverMethod::kBacktracking);
+  EXPECT_FALSE(r->spec.degrade_to_sampling);
+  EXPECT_EQ(r->spec.max_samples, 99u);
+  EXPECT_TRUE(r->spec.deadline_from_submit);
+  EXPECT_EQ(r->spec.chaos_sleep.count(), 5);
+}
+
+// Every execution field of a job spec, compared one by one.
+void ExpectSameSpec(const JobSpec& got, const JobSpec& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.timeout.has_value(), want.timeout.has_value()) << where;
+  if (got.timeout.has_value() && want.timeout.has_value()) {
+    EXPECT_EQ(got.timeout->count(), want.timeout->count()) << where;
+  }
+  EXPECT_EQ(got.deadline_from_submit, want.deadline_from_submit) << where;
+  EXPECT_EQ(got.max_steps, want.max_steps) << where;
+  EXPECT_EQ(got.method, want.method) << where;
+  EXPECT_EQ(got.degrade_to_sampling, want.degrade_to_sampling) << where;
+  EXPECT_EQ(got.max_samples, want.max_samples) << where;
+  EXPECT_EQ(got.parallelism, want.parallelism) << where;
+  EXPECT_EQ(got.isolation, want.isolation) << where;
+  EXPECT_EQ(got.cache, want.cache) << where;
+  EXPECT_EQ(got.faults.fail_after_probes, want.faults.fail_after_probes)
+      << where;
+  EXPECT_EQ(got.faults.crash_after_probes, want.faults.crash_after_probes)
+      << where;
+  EXPECT_EQ(got.faults.hog_mb_per_probe, want.faults.hog_mb_per_probe)
+      << where;
+  EXPECT_EQ(got.faults.wedge_after_probes, want.faults.wedge_after_probes)
+      << where;
+  EXPECT_EQ(got.fault_attempts, want.fault_attempts) << where;
+  EXPECT_EQ(got.chaos_sleep.count(), want.chaos_sleep.count()) << where;
+}
+
+TEST(ProtocolTest, ExecutionFieldsReachTheJob) {
+  // Each wire key alone, then all of them at once, on both frame types:
+  // the decoded spec, carried into a ServeJob, must hold exactly what the
+  // daemon has always set on the job for that key (clamps included).
+  struct Case {
+    std::string keys;  // JSON members appended to the frame
+    void (*expect)(JobSpec*);
+  };
+  const Case cases[] = {
+      {"", [](JobSpec*) {}},
+      {R"("timeout_ms":250)",
+       [](JobSpec* s) { s->timeout = milliseconds(250); }},
+      {R"("timeout_ms":0)", [](JobSpec* s) { s->timeout = milliseconds(0); }},
+      {R"("deadline_from_submit":true)",
+       [](JobSpec* s) { s->deadline_from_submit = true; }},
+      {R"("max_steps":1000)", [](JobSpec* s) { s->max_steps = 1000; }},
+      {R"("method":"backtracking")",
+       [](JobSpec* s) { s->method = SolverMethod::kBacktracking; }},
+      {R"("degrade_to_sampling":false)",
+       [](JobSpec* s) { s->degrade_to_sampling = false; }},
+      {R"("max_samples":99)", [](JobSpec* s) { s->max_samples = 99; }},
+      {R"("parallelism":8)", [](JobSpec* s) { s->parallelism = 8; }},
+      {R"("parallelism":1000)", [](JobSpec* s) { s->parallelism = 64; }},
+      {R"("isolation":"fork")",
+       [](JobSpec* s) { s->isolation = IsolationMode::kFork; }},
+      {R"("isolation":"inproc")",
+       [](JobSpec* s) { s->isolation = IsolationMode::kInproc; }},
+      {R"("cache":"bypass")",
+       [](JobSpec* s) { s->cache = CachePolicy::kBypass; }},
+      {R"("cache":"default")", [](JobSpec*) {}},
+      {R"("fail_after_probes":3)",
+       [](JobSpec* s) { s->faults.fail_after_probes = 3; }},
+      {R"("crash_after_probes":5)",
+       [](JobSpec* s) { s->faults.crash_after_probes = 5; }},
+      {R"("hog_mb_per_probe":2)",
+       [](JobSpec* s) { s->faults.hog_mb_per_probe = 2; }},
+      {R"("wedge_after_probes":7)",
+       [](JobSpec* s) { s->faults.wedge_after_probes = 7; }},
+      {R"("fault_attempts":2)", [](JobSpec* s) { s->fault_attempts = 2; }},
+      {R"("fault_attempts":5000000000)",
+       [](JobSpec* s) { s->fault_attempts = INT_MAX; }},
+      {R"("chaos_sleep_ms":5)",
+       [](JobSpec* s) { s->chaos_sleep = milliseconds(5); }},
+      {R"("timeout_ms":40,"deadline_from_submit":true,"max_steps":9,)"
+       R"("method":"naive","degrade_to_sampling":false,"max_samples":7,)"
+       R"("parallelism":65,"isolation":"fork","cache":"bypass",)"
+       R"("fail_after_probes":1,"crash_after_probes":2,)"
+       R"("hog_mb_per_probe":3,"wedge_after_probes":4,)"
+       R"("fault_attempts":6,"chaos_sleep_ms":8)",
+       [](JobSpec* s) {
+         s->timeout = milliseconds(40);
+         s->deadline_from_submit = true;
+         s->max_steps = 9;
+         s->method = SolverMethod::kNaive;
+         s->degrade_to_sampling = false;
+         s->max_samples = 7;
+         s->parallelism = 64;
+         s->isolation = IsolationMode::kFork;
+         s->cache = CachePolicy::kBypass;
+         s->faults = FaultPlan{1, 2, 3, 4};
+         s->fault_attempts = 6;
+         s->chaos_sleep = milliseconds(8);
+       }},
+  };
+  for (const char* head :
+       {R"js({"type":"solve","id":1,"query":"R(x | y)")js",
+        R"js({"type":"answers","id":1,"query":"R(x | y)","free":["x"])js"}) {
+    for (const Case& c : cases) {
+      const std::string frame =
+          std::string(head) + (c.keys.empty() ? "" : ",") + c.keys + "}";
+      Result<WireRequest> r = DecodeRequest(frame);
+      ASSERT_TRUE(r.ok()) << frame << ": " << r.error();
+      JobSpec want;
+      c.expect(&want);
+      ServeJob job(ParseQuery("R(x | y)").value(), nullptr, r->spec);
+      ExpectSameSpec(job, want, frame);
+    }
+  }
 }
 
 TEST(ProtocolTest, TypedErrorsDistinguishMalformedFromUnsupported) {
@@ -309,6 +418,50 @@ TEST(DaemonTest, HealthAndStatsFrames) {
   ASSERT_NE(daemon, nullptr);
   EXPECT_EQ(daemon->Find("connections_active")->AsInt(), 1);
   EXPECT_GE(daemon->Find("frames_received")->AsInt(), 3);
+}
+
+TEST(DaemonTest, InprocCrashWedgeAndHogAreRefusedAndTheDaemonServes) {
+  // Regression: one client frame asking for an injected crash in-process
+  // used to segfault the whole daemon. A fault plan that can crash, wedge
+  // or hog its thread runs only under fork isolation; in-process (an
+  // explicit "inproc", or any answers frame) it ends as a typed
+  // unsupported error and the daemon keeps serving.
+  DaemonFixture f;
+  const std::string frames[] = {
+      R"js({"type":"solve","id":1,"query":"R(x | y), not S(y | x)",)js"
+      R"js("crash_after_probes":1,"isolation":"inproc",)js"
+      R"js("method":"backtracking","cache":"bypass"})js",
+      R"js({"type":"solve","id":2,"query":"R(x | y), not S(y | x)",)js"
+      R"js("wedge_after_probes":1,"isolation":"inproc",)js"
+      R"js("method":"backtracking","cache":"bypass"})js",
+      R"js({"type":"solve","id":3,"query":"R(x | y), not S(y | x)",)js"
+      R"js("hog_mb_per_probe":1,"method":"backtracking"})js",
+      R"js({"type":"answers","id":4,"query":"R(x | y)","free":["x"],)js"
+      R"js("crash_after_probes":1,"isolation":"fork"})js",
+  };
+  uint64_t id = 0;
+  for (const std::string& frame : frames) {
+    ++id;
+    ASSERT_TRUE(f.Send(frame).ok());
+    Result<WireResponse> err = f.client.WaitTerminal(id, kIo);
+    ASSERT_TRUE(err.ok()) << frame << ": " << err.error();
+    EXPECT_EQ(err->type, "error") << frame;
+    EXPECT_EQ(err->code, "unsupported") << frame;
+    EXPECT_NE(err->message.find("fork isolation"), std::string::npos)
+        << err->message;
+    ASSERT_TRUE(f.Send(R"({"type":"health","id":100})").ok());
+    Result<WireResponse> health = f.client.ReadResponse(kIo);
+    ASSERT_TRUE(health.ok()) << health.error();
+    EXPECT_EQ(health->type, "health");
+    EXPECT_EQ(health->status, "serving");
+  }
+  // The same worker pool still answers a clean solve.
+  ASSERT_TRUE(f.Send(SolveFrame(5, "R(x | y)")).ok());
+  Result<WireResponse> ok = f.client.WaitTerminal(5, kIo);
+  ASSERT_TRUE(ok.ok()) << ok.error();
+  EXPECT_EQ(ok->verdict, "certain");
+  EXPECT_EQ(f.daemon->service_stats().failed, 4u);
+  EXPECT_EQ(f.daemon->service_stats().retries, 0u);
 }
 
 TEST(DaemonTest, MalformedFrameFailsTheFrameNotTheConnection) {

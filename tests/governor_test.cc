@@ -110,7 +110,7 @@ TEST(BudgetTest, FaultInjectionFiresRegardlessOfStride) {
   // later (sticky) probes no longer charge steps.
   constexpr uint64_t kN = 10;
   Budget b;
-  b.fail_after_probes = kN;
+  b.faults.fail_after_probes = kN;
   for (uint64_t i = 1; i < kN; ++i) {
     EXPECT_FALSE(b.CheckEvery(7).has_value()) << "probe " << i;
   }
@@ -123,7 +123,7 @@ TEST(BudgetTest, FaultInjectionFiresRegardlessOfStride) {
 TEST(BudgetTest, FaultInjectionFiresAtTheExactProbe) {
   for (uint64_t n = 1; n <= 5; ++n) {
     Budget b;
-    b.fail_after_probes = n;
+    b.faults.fail_after_probes = n;
     for (uint64_t i = 1; i < n; ++i) {
       EXPECT_FALSE(b.CheckEvery().has_value());
     }
@@ -256,7 +256,7 @@ TEST(GovernorTest, FaultInjectionBacktracking) {
   Database db = PigeonholeDatabase(5);
   for (uint64_t n : {1, 2, 7, 50}) {
     Budget b;
-    b.fail_after_probes = n;
+    b.faults.fail_after_probes = n;
     BacktrackingOptions opts;
     opts.budget = &b;
     Result<BacktrackingReport> r =
@@ -269,7 +269,7 @@ TEST(GovernorTest, FaultInjectionBacktracking) {
 TEST(GovernorTest, FaultInjectionNaiveAndCounting) {
   Database db = PigeonholeDatabase(4);
   Budget b1;
-  b1.fail_after_probes = 1;
+  b1.faults.fail_after_probes = 1;
   NaiveOptions opts;
   opts.budget = &b1;
   Result<bool> r = IsCertainNaive(PigeonholeQuery(), db, opts);
@@ -277,7 +277,7 @@ TEST(GovernorTest, FaultInjectionNaiveAndCounting) {
   EXPECT_EQ(r.code(), ErrorCode::kBudgetExhausted);
 
   Budget b2;
-  b2.fail_after_probes = 3;
+  b2.faults.fail_after_probes = 3;
   NaiveOptions copts;
   copts.budget = &b2;
   Result<RepairCount> c = CountSatisfyingRepairs(PigeonholeQuery(), db, copts);
@@ -288,7 +288,7 @@ TEST(GovernorTest, FaultInjectionNaiveAndCounting) {
 TEST(GovernorTest, FaultInjectionRepairEnumeration) {
   Database db = PigeonholeDatabase(4);
   Budget b;
-  b.fail_after_probes = 2;
+  b.faults.fail_after_probes = 2;
   uint64_t seen = 0;
   Result<bool> r = ForEachRepair(db, &b, [&](const Repair&) {
     ++seen;
@@ -302,7 +302,7 @@ TEST(GovernorTest, FaultInjectionRepairEnumeration) {
 TEST(GovernorTest, FaultInjectionSamplingDegradesGracefully) {
   Database db = PigeonholeDatabase(5);
   Budget b;
-  b.fail_after_probes = 4;
+  b.faults.fail_after_probes = 4;
   Rng rng(7);
   SampleEstimate est =
       EstimateCertainty(PigeonholeQuery(), db, 1000, &rng, &b);
@@ -317,7 +317,7 @@ TEST(GovernorTest, FaultInjectionAlgorithm1AndEval) {
   ASSERT_TRUE(db.ok());
   for (uint64_t n : {1, 2, 5}) {
     Budget b;
-    b.fail_after_probes = n;
+    b.faults.fail_after_probes = n;
     Algorithm1Options opts;
     opts.budget = &b;
     Result<bool> r = Algorithm1(db.value(), opts).IsCertain(q);
@@ -328,7 +328,7 @@ TEST(GovernorTest, FaultInjectionAlgorithm1AndEval) {
   ASSERT_TRUE(f.ok()) << f.error();
   for (uint64_t n : {1, 2, 5}) {
     Budget b;
-    b.fail_after_probes = n;
+    b.faults.fail_after_probes = n;
     Result<bool> r = EvalFoGoverned(f.value(), db.value(), &b);
     ASSERT_FALSE(r.ok()) << "fail_after_probes=" << n;
     EXPECT_EQ(r.code(), ErrorCode::kBudgetExhausted);
@@ -340,14 +340,14 @@ TEST(GovernorTest, FaultInjectionCertainAnswers) {
   Result<Database> db = Database::FromText("R(a | b), R(a | c)\nS(b | a)");
   ASSERT_TRUE(db.ok());
   Budget b;
-  b.fail_after_probes = 1;
+  b.faults.fail_after_probes = 1;
   Result<CertainAnswers> r =
       ComputeCertainAnswers(q, {InternSymbol("x")}, db.value(), &b);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kBudgetExhausted);
 
   Budget b2;
-  b2.fail_after_probes = 2;
+  b2.faults.fail_after_probes = 2;
   Result<CertainAnswers> rw = CertainAnswersByRewriting(
       Q("P(x | y), not N('c' | y)"), {InternSymbol("x")},
       Database::FromText("P(a | b)\nN(c | d)").value(), &b2);
@@ -382,7 +382,7 @@ TEST(GovernorTest, BudgetTripsInsideTheCandidateJoin) {
   ASSERT_EQ(all->size(), 4000u);
 
   Budget injected;
-  injected.fail_after_probes = 1000;
+  injected.faults.fail_after_probes = 1000;
   Result<CertainAnswers> r = ComputeCertainAnswers(q, frees, *db, &injected);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kBudgetExhausted);
@@ -410,7 +410,7 @@ TEST(GovernorTest, FaultInjectionSolveCascadeEndsExhausted) {
   // still returns (kAuto degrades) but the verdict carries no information.
   Database db = PigeonholeDatabase(6);
   Budget b;
-  b.fail_after_probes = 1;
+  b.faults.fail_after_probes = 1;
   SolveOptions options;
   options.budget = &b;
   Result<SolveReport> r =

@@ -91,7 +91,7 @@ TEST(SandboxChaosTest, ForkChurnUnderConcurrentLoadDeliversEveryTerminal) {
 
     ServeJob crashing(Q("R(x | y), not S(y | x)"), small);
     crashing.method = SolverMethod::kBacktracking;
-    crashing.crash_after_probes = 1;
+    crashing.faults.crash_after_probes = 1;
     if (service.Submit(std::move(crashing), sink.Callback()).ok()) {
       ++accepted;
       ++expected_crashes;
@@ -99,7 +99,7 @@ TEST(SandboxChaosTest, ForkChurnUnderConcurrentLoadDeliversEveryTerminal) {
 
     ServeJob wedged(PigeonholeCyclicQuery(), hard);
     wedged.method = SolverMethod::kBacktracking;
-    wedged.wedge_after_probes = 1;
+    wedged.faults.wedge_after_probes = 1;
     wedged.timeout = milliseconds(50);
     if (service.Submit(std::move(wedged), sink.Callback()).ok()) {
       ++accepted;
@@ -152,7 +152,7 @@ TEST(SandboxChaosTest, ShutdownRacingInFlightChildrenKillsAndReapsAll) {
   for (int i = 0; i < kWedged; ++i) {
     ServeJob wedged(PigeonholeCyclicQuery(), hard);
     wedged.method = SolverMethod::kBacktracking;
-    wedged.wedge_after_probes = 1;
+    wedged.faults.wedge_after_probes = 1;
     if (service.Submit(std::move(wedged), sink.Callback()).ok()) ++accepted;
   }
   ASSERT_GT(accepted, 0u);
@@ -200,7 +200,7 @@ TEST(SandboxChaosTest, CancellationStormWhileForking) {
                  i % 2 == 0 ? small : hard);
     if (i % 2 == 1) {
       job.method = SolverMethod::kBacktracking;
-      job.wedge_after_probes = 1;  // cancellation is the only way out
+      job.faults.wedge_after_probes = 1;  // cancellation is the only way out
     }
     Result<uint64_t> id = service.Submit(std::move(job), sink.Callback());
     if (id.ok()) ids.push_back(id.value());

@@ -220,11 +220,12 @@ TEST(SandboxPolicyTest, WireFieldParsesAndRejectsUnknownModes) {
   Result<WireRequest> fork = DecodeRequest(
       R"js({"type":"solve","id":1,"query":"R(x | y)","isolation":"fork"})js");
   ASSERT_TRUE(fork.ok()) << fork.error();
-  EXPECT_EQ(fork->isolation, IsolationMode::kFork);
+  EXPECT_EQ(fork->spec.isolation, IsolationMode::kFork);
   Result<WireRequest> absent =
       DecodeRequest(R"js({"type":"solve","id":2,"query":"R(x | y)"})js");
   ASSERT_TRUE(absent.ok());
-  EXPECT_EQ(absent->isolation, IsolationMode::kAuto) << "absent field = auto";
+  EXPECT_EQ(absent->spec.isolation, IsolationMode::kAuto)
+      << "absent field = auto";
   Result<WireRequest> bad = DecodeRequest(
       R"js({"type":"solve","id":3,"query":"R(x | y)","isolation":"jail"})js");
   ASSERT_FALSE(bad.ok());
@@ -248,10 +249,10 @@ TEST(SandboxSolveTest, ForkedVerdictsMatchInprocAcrossEveryEngine) {
     inproc_opts.method = method;
     Result<SolveReport> inproc = SolveCertainty(q, db, inproc_opts);
 
-    SandboxJob job;
-    job.method = method;
+    SolveOptions forked_opts;
+    forked_opts.method = method;
     SandboxOutcome forked =
-        RunSandboxedSolve(q, db, job, SandboxLimits{}, nullptr);
+        RunSandboxedSolve(q, db, forked_opts, SandboxLimits{}, nullptr);
 
     ASSERT_EQ(inproc.ok(), forked.result.ok())
         << ToString(method) << ": "
@@ -275,14 +276,16 @@ TEST(SandboxSolveTest, CooperativeDeadlineCrossesThePipeAsItself) {
   // error an in-process solve would — the sandbox adds containment, not a
   // new failure vocabulary — so retry policy is isolation-agnostic.
   Database db = PigeonholeDatabase(12);
-  SandboxJob job;
-  job.method = SolverMethod::kBacktracking;
-  job.degrade_to_sampling = false;
-  job.deadline = Budget::Clock::now() + milliseconds(50);
+  Budget budget;
+  budget.deadline = Budget::Clock::now() + milliseconds(50);
+  SolveOptions opts;
+  opts.method = SolverMethod::kBacktracking;
+  opts.degrade_to_sampling = false;
+  opts.budget = &budget;
   SandboxLimits limits;
   limits.kill_grace = milliseconds(10'000);  // cooperation must win, not kill
   SandboxOutcome out =
-      RunSandboxedSolve(PigeonholeCyclicQuery(), db, job, limits, nullptr);
+      RunSandboxedSolve(PigeonholeCyclicQuery(), db, opts, limits, nullptr);
   ASSERT_FALSE(out.result.ok());
   EXPECT_EQ(out.result.code(), ErrorCode::kDeadlineExceeded);
   EXPECT_FALSE(out.killed) << "child unwound cooperatively, no SIGKILL";
@@ -297,16 +300,18 @@ TEST(SandboxSolveTest, WedgedSolveIsReclaimedWithinTwiceTheKillGrace) {
   // never reclaim it. The supervisor must SIGKILL at deadline + grace and
   // return within the acceptance bound of 2x the grace window.
   Database db = PigeonholeDatabase(8);
-  SandboxJob job;
-  job.method = SolverMethod::kBacktracking;
-  job.wedge_after_probes = 1;
+  Budget budget;
+  budget.faults.wedge_after_probes = 1;
   const auto timeout = milliseconds(100);
-  job.deadline = Budget::Clock::now() + timeout;
+  budget.deadline = Budget::Clock::now() + timeout;
+  SolveOptions opts;
+  opts.method = SolverMethod::kBacktracking;
+  opts.budget = &budget;
   SandboxLimits limits;
   limits.kill_grace = milliseconds(250);
   const auto start = Budget::Clock::now();
   SandboxOutcome out =
-      RunSandboxedSolve(PigeonholeCyclicQuery(), db, job, limits, nullptr);
+      RunSandboxedSolve(PigeonholeCyclicQuery(), db, opts, limits, nullptr);
   const auto elapsed = Budget::Clock::now() - start;
   EXPECT_TRUE(out.killed) << "only SIGKILL reclaims a wedge";
   ASSERT_FALSE(out.result.ok());
@@ -317,15 +322,18 @@ TEST(SandboxSolveTest, WedgedSolveIsReclaimedWithinTwiceTheKillGrace) {
 
 TEST(SandboxSolveTest, CancellationKillsAWedgedChildWithoutADeadline) {
   Database db = PigeonholeDatabase(8);
-  SandboxJob job;
-  job.method = SolverMethod::kBacktracking;
-  job.wedge_after_probes = 1;  // no deadline: only cancellation can end this
+  Budget budget;
+  // No deadline: only cancellation can end this.
+  budget.faults.wedge_after_probes = 1;
+  SolveOptions opts;
+  opts.method = SolverMethod::kBacktracking;
+  opts.budget = &budget;
   std::atomic<bool> cancel{false};
   std::thread canceller([&cancel] {
     std::this_thread::sleep_for(milliseconds(100));
     cancel.store(true, std::memory_order_release);
   });
-  SandboxOutcome out = RunSandboxedSolve(PigeonholeCyclicQuery(), db, job,
+  SandboxOutcome out = RunSandboxedSolve(PigeonholeCyclicQuery(), db, opts,
                                          SandboxLimits{}, &cancel);
   canceller.join();
   EXPECT_TRUE(out.killed);
@@ -338,10 +346,12 @@ TEST(SandboxSolveTest, CancellationKillsAWedgedChildWithoutADeadline) {
 
 TEST(SandboxSolveTest, InjectedCrashMapsToWorkerCrashed) {
   Database db = Db("R(a | b), R(a | c)\nS(b | a)");
-  SandboxJob job;
-  job.method = SolverMethod::kBacktracking;
-  job.crash_after_probes = 1;
-  SandboxOutcome out = RunSandboxedSolve(Q("R(x | y), not S(y | x)"), db, job,
+  Budget budget;
+  budget.faults.crash_after_probes = 1;
+  SolveOptions opts;
+  opts.method = SolverMethod::kBacktracking;
+  opts.budget = &budget;
+  SandboxOutcome out = RunSandboxedSolve(Q("R(x | y), not S(y | x)"), db, opts,
                                          SandboxLimits{}, nullptr);
   EXPECT_TRUE(out.crashed);
   EXPECT_FALSE(out.killed);
@@ -366,7 +376,7 @@ TEST(SandboxSolveTest, CrashedChildLeavesTheServiceServing) {
   ServeJob crashing(Q("R(x | y), not S(y | x)"), db);
   crashing.method = SolverMethod::kBacktracking;
   crashing.isolation = IsolationMode::kFork;
-  crashing.crash_after_probes = 1;
+  crashing.faults.crash_after_probes = 1;
   Result<uint64_t> crash_id = service.Submit(std::move(crashing), callback);
   ASSERT_TRUE(crash_id.ok());
   ServeJob healthy(Q("R(x | y)"), db);
@@ -401,16 +411,18 @@ TEST(SandboxSolveTest, RssBreachMapsToResourceExhausted) {
   // the generous deadline. The failure must surface as the typed
   // kResourceExhausted — not a crash, not a deadline.
   Database db = PigeonholeDatabase(10);
-  SandboxJob job;
-  job.method = SolverMethod::kBacktracking;
-  job.degrade_to_sampling = false;
-  job.hog_mb_per_probe = 16;
-  job.deadline = Budget::Clock::now() + milliseconds(30'000);
+  Budget budget;
+  budget.faults.hog_mb_per_probe = 16;
+  budget.deadline = Budget::Clock::now() + milliseconds(30'000);
+  SolveOptions opts;
+  opts.method = SolverMethod::kBacktracking;
+  opts.degrade_to_sampling = false;
+  opts.budget = &budget;
   SandboxLimits limits;
   limits.kill_grace = milliseconds(1'000);
   limits.max_rss_mb = 64;
   SandboxOutcome out =
-      RunSandboxedSolve(PigeonholeCyclicQuery(), db, job, limits, nullptr);
+      RunSandboxedSolve(PigeonholeCyclicQuery(), db, opts, limits, nullptr);
   EXPECT_TRUE(out.rss_breach);
   EXPECT_FALSE(out.killed);
   ASSERT_FALSE(out.result.ok());
@@ -431,7 +443,7 @@ TEST(SandboxSolveTest, RssBreachIsNotRetriedByTheService) {
   job.method = SolverMethod::kBacktracking;
   job.degrade_to_sampling = false;
   job.isolation = IsolationMode::kFork;
-  job.hog_mb_per_probe = 16;
+  job.faults.hog_mb_per_probe = 16;
   job.timeout = milliseconds(30'000);
   ASSERT_TRUE(service
                   .Submit(std::move(job),

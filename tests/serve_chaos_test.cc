@@ -125,7 +125,7 @@ void RunMixedWorkload(uint64_t seed) {
           ServeJob j(certain_q, easy_db);
           j.method = SolverMethod::kBacktracking;
           j.degrade_to_sampling = false;
-          j.fail_after_probes = 1;
+          j.faults.fail_after_probes = 1;
           j.fault_attempts = 1;
           return j;
         }

@@ -447,7 +447,7 @@ TEST(SolveServiceTest, RetriesExhaustThenSurfaceTheTypedError) {
   ServeJob job(Q("R(x | y), not S(y | x)"), db);
   job.method = SolverMethod::kBacktracking;  // a governed, probing solver
   job.degrade_to_sampling = false;  // typed error instead of verdict
-  job.fail_after_probes = 1;        // every attempt trips instantly
+  job.faults.fail_after_probes = 1;        // every attempt trips instantly
   ASSERT_TRUE(service.Submit(std::move(job), sink.Callback()).ok());
   // Let the retries play out before shutting down: draining suppresses
   // retries (by design), which would truncate the attempt count.
@@ -474,7 +474,7 @@ TEST(SolveServiceTest, RetrySucceedsAfterATransientFault) {
   ServeJob job(Q("R(x | y)"), db);
   job.method = SolverMethod::kBacktracking;  // a governed, probing solver
   job.degrade_to_sampling = false;
-  job.fail_after_probes = 1;
+  job.faults.fail_after_probes = 1;
   job.fault_attempts = 1;  // only the first attempt is faulted
   ASSERT_TRUE(service.Submit(std::move(job), sink.Callback()).ok());
   ASSERT_TRUE(sink.WaitForCount(1)) << "request never completed";
@@ -513,7 +513,7 @@ TEST(SolveServiceTest, WorkerCrashIsNeverRetried) {
   job.method = SolverMethod::kBacktracking;  // a governed, probing solver
   job.degrade_to_sampling = false;
   job.isolation = IsolationMode::kFork;  // contain the injected crash
-  job.crash_after_probes = 1;
+  job.faults.crash_after_probes = 1;
   ASSERT_TRUE(service.Submit(std::move(job), sink.Callback()).ok());
   ASSERT_TRUE(sink.WaitForCount(1)) << "request never completed";
   EXPECT_TRUE(service.Shutdown(milliseconds(10'000)));

@@ -11,8 +11,9 @@
 # attach/detach/list admin surface over the wire, and drains both shards
 # on SIGTERM. The sandbox smoke drives the fork-isolation layer end to
 # end: a wedged solve hard-killed within the kill grace while a sibling
-# keeps answering, an injected crash contained to a typed error, and a
-# clean SIGTERM drain afterwards.
+# keeps answering, an injected crash contained to a typed error, the same
+# crash asked for in-process refused as unsupported, and a clean SIGTERM
+# drain afterwards.
 #
 #   tools/ci.sh            # all eleven stages
 #   tools/ci.sh tier1      # just the tier-1 stage
@@ -383,6 +384,20 @@ sandbox_smoke() {
   grep -q '"sandbox_crashes":1' "$work/stats.out"
   grep -q '"sandbox_kills":1' "$work/stats.out"
 
+  echo "==== [sandbox] in-process crash injection is refused, not run"
+  local inproc_rc=0
+  "$cli" client "$addr" --jobs="$work/hard_job" --isolation=inproc \
+      --method=backtracking --crash-after=1 --cache=bypass \
+      > "$work/inproc_crash.out" 2>&1 || inproc_rc=$?
+  if [ "$inproc_rc" -eq 0 ]; then
+    echo "in-process crash injection should not succeed"
+    cat "$work/inproc_crash.out"; exit 1
+  fi
+  grep -q 'unsupported' "$work/inproc_crash.out"
+  "$cli" client "$addr" --health | grep -q '"status":"serving"'
+  "$cli" client "$addr" --stats > "$work/stats2.out"
+  grep -q '"sandbox_crashes":1' "$work/stats2.out"
+
   echo "==== [sandbox] SIGTERM drain reaps every child"
   kill -TERM "$daemon_pid"
   local rc=0
@@ -392,7 +407,8 @@ sandbox_smoke() {
     cat "$work/daemon.log"; exit 1
   fi
   grep -q 'draining' "$work/daemon.log"
-  echo "==== [sandbox] OK (hard preemption, crash containment, clean drain)"
+  echo "==== [sandbox] OK (hard preemption, crash containment, in-process" \
+       "refusal, clean drain)"
 }
 
 # Recovery smoke against the tier-1 build: crash-safe live updates. The

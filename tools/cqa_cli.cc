@@ -764,10 +764,11 @@ int CmdClient(int argc, char** argv, const char* addr) {
   if (!isolation.empty() && !ParseIsolationMode(isolation).has_value()) {
     return Fail("--isolation must be 'auto', 'inproc' or 'fork'");
   }
-  // Chaos injection over the wire (CI sandbox smoke, manual containment
-  // drills): forwarded verbatim as the solve frame's budget knobs. A
-  // wedged or crashing solve under --isolation=fork demonstrates the
-  // daemon's containment; inproc it takes the worker down with it.
+  // Fault injection over the wire (CI sandbox smoke, manual containment
+  // drills): forwarded verbatim as the solve frame's fault knobs. A wedged
+  // or crashing solve under --isolation=fork demonstrates the daemon's
+  // containment; a solve that resolves to in-process is refused as
+  // unsupported.
   uint64_t wedge_after = 0, crash_after = 0;
   if (FlagGiven(argc, argv, "--wedge-after") &&
       !ParseU64(FlagValue(argc, argv, "--wedge-after"), &wedge_after)) {

@@ -37,17 +37,27 @@
 // self-covering negated atoms, literals shuffled — and random databases:
 // the detector must accept each query, reject a near-miss that keys one
 // extra atom by y, and the matching verdict must equal backtracking's (and
-// auto dispatch must pick matching). Exits non-zero and prints a
-// reproducer on the first violation.
+// auto dispatch must pick matching). A hostile-client phase
+// (--hostile-rounds, off by default) runs an in-process SolveDaemon on
+// loopback with 2 workers and sends it well-formed solve and answers
+// frames with random execution and fault fields: every frame must get
+// exactly one terminal, and a health probe must answer "serving" after
+// each. Frames that may fork carry timeout_ms <= 200 and
+// hog_mb_per_probe <= 4, so at most 2 short-lived sandbox children exist
+// at once. Exits non-zero and prints a reproducer on the first violation.
 //
 //   cqa_fuzz [--seed=N] [--rounds=N] [--dbs-per-query=N] [--parse-rounds=N]
 //            [--wire-rounds=N] [--cache-rounds=N] [--journal-rounds=N]
 //            [--cursor-rounds=N] [--parallel-rounds=N] [--matching-rounds=N]
+//            [--hostile-rounds=N]
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -62,6 +72,8 @@
 #include "cqa/delta/journal.h"
 #include "cqa/parallel/decompose.h"
 #include "cqa/parallel/parallel_solver.h"
+#include "cqa/serve/net/client.h"
+#include "cqa/serve/net/daemon.h"
 #include "cqa/serve/net/framing.h"
 #include "cqa/serve/net/json.h"
 #include "cqa/serve/net/protocol.h"
@@ -527,6 +539,152 @@ std::string MatchingClassQueryText(Rng* rng, bool near_miss) {
   return text;
 }
 
+// One random, well-formed solve or answers frame for the hostile phase.
+// Execution and fault fields are drawn independently; a frame that may
+// fork (anything but "inproc": the daemon escalates coNP-risk queries
+// under its auto policy) always carries a short timeout and a small hog,
+// so sandbox children stay brief and small.
+std::string HostileFrame(uint64_t id, Rng* rng) {
+  static const char* const kQueries[] = {
+      "R(x | y)",
+      "R(x | y), not S(y | x)",
+      "R(x | y), not S(y | x), not T(y | x)",
+      "R(x | y), S(y | x)",
+  };
+  static const char* const kIsolation[] = {nullptr, "auto", "inproc", "fork"};
+  static const char* const kCache[] = {nullptr, "default", "bypass"};
+  JsonObjectBuilder b;
+  const bool answers = rng->Chance(0.3);
+  b.Set("type", answers ? "answers" : "solve")
+      .Set("id", id)
+      .Set("query", kQueries[rng->Below(std::size(kQueries))]);
+  if (answers) {
+    Json::Array free;
+    free.push_back(Json::MakeString("x"));
+    if (rng->Chance(0.5)) free.push_back(Json::MakeString("y"));
+    b.Set("free", Json::MakeArray(std::move(free)));
+    if (rng->Chance(0.5)) b.Set("max_chunk", rng->Below(4));
+  }
+  const char* isolation = kIsolation[rng->Below(std::size(kIsolation))];
+  if (isolation != nullptr) b.Set("isolation", isolation);
+  const bool may_fork =
+      isolation == nullptr || std::strcmp(isolation, "inproc") != 0;
+  if (may_fork) {
+    b.Set("timeout_ms", 1 + rng->Below(200));
+  } else if (rng->Chance(0.5)) {
+    b.Set("timeout_ms", rng->Below(300));
+  }
+  if (rng->Chance(0.5)) {
+    b.Set("method", ToString(kSolverMethods[rng->Below(
+                        std::size(kSolverMethods))]));
+  }
+  if (const char* cache = kCache[rng->Below(std::size(kCache))]) {
+    b.Set("cache", cache);
+  }
+  if (rng->Chance(0.3)) b.Set("max_steps", rng->Below(5000));
+  if (rng->Chance(0.3)) b.Set("degrade_to_sampling", rng->Chance(0.5));
+  if (rng->Chance(0.3)) b.Set("max_samples", rng->Below(200));
+  if (rng->Chance(0.3)) b.Set("deadline_from_submit", rng->Chance(0.5));
+  if (rng->Chance(0.3)) {
+    b.Set("parallelism", rng->Chance(0.1) ? uint64_t{100} : rng->Below(4));
+  }
+  if (rng->Chance(0.25)) b.Set("fail_after_probes", 1 + rng->Below(20));
+  if (rng->Chance(0.15)) b.Set("crash_after_probes", 1 + rng->Below(3));
+  if (rng->Chance(0.15)) b.Set("hog_mb_per_probe", 1 + rng->Below(4));
+  if (rng->Chance(0.15)) b.Set("wedge_after_probes", 1 + rng->Below(3));
+  if (rng->Chance(0.25)) b.Set("fault_attempts", rng->Below(3));
+  if (rng->Chance(0.1)) b.Set("chaos_sleep_ms", rng->Below(20));
+  return b.Build().Serialize();
+}
+
+// Sends one hostile frame and checks the daemon's answer: answer chunks
+// for the frame's id, then exactly one terminal, then a health probe that
+// answers "serving" with no stray frame in between.
+int CheckHostileFrame(NetClient* client, uint64_t id,
+                      const std::string& frame) {
+  const auto io = std::chrono::milliseconds(10'000);
+  if (!client->SendFrame(frame, io).ok()) {
+    return BadInput(frame, "hostile: send failed (daemon gone?)");
+  }
+  for (;;) {
+    Result<WireResponse> r = client->ReadResponse(io);
+    if (!r.ok()) return BadInput(frame, "hostile: no terminal frame");
+    if (r->id != id) return BadInput(frame, "hostile: frame for another id");
+    if (r->type == "answer_chunk") continue;
+    if (!IsTerminalResponseType(r->type)) {
+      return BadInput(frame, "hostile: unexpected frame type");
+    }
+    break;
+  }
+  const uint64_t health_id = id + (uint64_t{1} << 40);
+  JsonObjectBuilder health;
+  health.Set("type", "health").Set("id", health_id);
+  if (!client->SendFrame(health.Build().Serialize(), io).ok()) {
+    return BadInput(frame, "hostile: health send failed");
+  }
+  Result<WireResponse> h = client->ReadResponse(io);
+  if (!h.ok() || h->type != "health" || h->id != health_id ||
+      h->status != "serving") {
+    return BadInput(frame,
+                    "hostile: a second terminal or no serving health frame");
+  }
+  return 0;
+}
+
+int RunHostilePhase(uint64_t rounds, uint64_t seed) {
+  if (rounds == 0) return 0;
+  Result<Database> db = Database::FromText(
+      "R(a | b), R(a | c), R(d | e)\nS(b | a), S(e | d)\nT(c | a)");
+  if (!db.ok()) {
+    std::printf("hostile database failed to parse: %s\n", db.error().c_str());
+    return 1;
+  }
+  DaemonOptions options;
+  options.host = "127.0.0.1";
+  options.port = 0;
+  options.service.workers = 2;
+  options.service.isolation = IsolationMode::kAuto;
+  options.service.sandbox.kill_grace = std::chrono::milliseconds(50);
+  options.service.cache_entries = 64;
+  options.service.max_retries = 1;
+  options.service.backoff.initial = std::chrono::milliseconds(1);
+  SolveDaemon daemon(std::make_shared<const Database>(std::move(db.value())),
+                     options);
+  if (Result<bool> started = daemon.Start(); !started.ok()) {
+    std::printf("hostile daemon failed to start: %s\n",
+                started.error().c_str());
+    return 1;
+  }
+  NetClient client;
+  if (!client.Connect("127.0.0.1", daemon.port(),
+                      std::chrono::milliseconds(10'000))
+           .ok()) {
+    std::printf("hostile client failed to connect\n");
+    return 1;
+  }
+  Rng rng(seed ^ 0x4057113u);
+  for (uint64_t round = 0; round < rounds; ++round) {
+    const uint64_t id = round + 1;
+    int rc = CheckHostileFrame(&client, id, HostileFrame(id, &rng));
+    if (rc != 0) return rc;
+  }
+  client.Close();
+  if (!daemon.Shutdown(std::chrono::milliseconds(10'000))) {
+    std::printf("hostile daemon did not drain cleanly\n");
+    return 1;
+  }
+  const ServiceStats stats = daemon.service_stats();
+  std::printf(
+      "hostile: %llu completed, %llu failed, %llu sandbox forks (%llu "
+      "killed, %llu crashed)\n",
+      static_cast<unsigned long long>(stats.completed),
+      static_cast<unsigned long long>(stats.failed),
+      static_cast<unsigned long long>(stats.sandbox_forks),
+      static_cast<unsigned long long>(stats.sandbox_kills),
+      static_cast<unsigned long long>(stats.sandbox_crashes));
+  return 0;
+}
+
 int main(int argc, char** argv) {
   uint64_t seed = FlagOr(argc, argv, "--seed", 1);
   uint64_t rounds = FlagOr(argc, argv, "--rounds", 200);
@@ -538,6 +696,7 @@ int main(int argc, char** argv) {
   uint64_t cursor_rounds = FlagOr(argc, argv, "--cursor-rounds", 300);
   uint64_t parallel_rounds = FlagOr(argc, argv, "--parallel-rounds", 120);
   uint64_t matching_rounds = FlagOr(argc, argv, "--matching-rounds", 200);
+  uint64_t hostile_rounds = FlagOr(argc, argv, "--hostile-rounds", 0);
 
   // Phase 1: parser robustness under mutation and garbage.
   {
@@ -607,6 +766,9 @@ int main(int argc, char** argv) {
       if (rc != 0) return rc;
     }
   }
+
+  // Phase 2a: hostile clients against a live daemon.
+  if (int rc = RunHostilePhase(hostile_rounds, seed); rc != 0) return rc;
 
   // Phase 2b: journal robustness — random record soup (valid, corrupt-CRC,
   // mutated, truncated, garbage) through the pure journal decoder.
@@ -948,8 +1110,8 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzz clean: %llu parse rounds, %llu wire rounds, %llu journal "
       "rounds, %llu cursor rounds, %llu cache rounds, %llu parallel rounds, "
-      "%llu matching rounds, %llu rounds (%llu FO, %llu hard), %llu "
-      "database checks\n",
+      "%llu matching rounds, %llu hostile rounds, %llu rounds (%llu FO, "
+      "%llu hard), %llu database checks\n",
       static_cast<unsigned long long>(parse_rounds),
       static_cast<unsigned long long>(wire_rounds),
       static_cast<unsigned long long>(journal_rounds),
@@ -957,6 +1119,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cache_rounds),
       static_cast<unsigned long long>(parallel_rounds),
       static_cast<unsigned long long>(matching_rounds),
+      static_cast<unsigned long long>(hostile_rounds),
       static_cast<unsigned long long>(rounds),
       static_cast<unsigned long long>(fo_count),
       static_cast<unsigned long long>(hard_count),
